@@ -40,7 +40,9 @@ from .ncgb import (
     BudgetExceededError,
     GroebnerBasis,
     INFINITE,
+    InfiniteDimensionError,
     TruncationError,
+    complete_groebner,
     dimension,
     enumerate_normal_words,
     normal_form,

@@ -732,7 +732,8 @@ precedence: a, A, b, c
 gb_degree: 8
 """
 
-_L5_SUPERPOTENTIAL = "a*b*A - (1/5)*b^5 + b^2*c^2 + (1/2)*b*c*b*c + b^4*c"
+_L5_SUPERPOTENTIAL = ("a*b*A + (1/6)*b^6 - (1/5)*b^5 + (1/3)*c^3 + b^2*c^2 "
+                      "+ (1/2)*b*c*b*c + b^4*c")
 
 # explicit moduli-chart representations for the length-2 universal flop:
 # 0-generated dimension (1, 2) modules; U0 normalizes the top row of beta,
@@ -889,7 +890,8 @@ def builtins() -> Dict[str, Builtin]:
     }
     for l, i, j, k, gb in ((4, 2, 4, 3, 8), (6, 2, 3, 5, 8)):
         text = _L46_NCCR_TEMPLATE % {"l": l, "i": i, "j": j, "k": k, "gb": gb}
-        phi = "a*b*A + a*c*A - b^%d - c^%d - (-b - c)^%d" % (i + 1, j + 1, k + 1)
+        phi = "a*b*A + a*c*A + (1/%d)*b^%d + (1/%d)*c^%d + (1/%d)*(-b - c)^%d" % (
+            i + 1, i + 1, j + 1, j + 1, k + 1, k + 1)
         out["length-%d-nccr" % l] = Builtin("length-%d-nccr" % l, text, phi)
     return out
 

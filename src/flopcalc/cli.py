@@ -87,7 +87,7 @@ def _load_presentation(args):
 
 
 def _budget(args) -> Budget:
-    return Budget(args.budget) if getattr(args, "budget", None) else Budget()
+    return Budget(getattr(args, "budget", None))
 
 
 def _require_heavy(args, length: int):

@@ -28,9 +28,10 @@ from .ncgb import (
     Budget,
     BudgetExceededError,
     INFINITE,
+    InfiniteDimensionError,
+    complete_groebner,
     enumerate_normal_words,
     reduce_element,
-    truncated_groebner,
 )
 from .pathalg import AlgebraPresentation, Element, Path, PathAlgebraError, Quiver
 
@@ -124,23 +125,11 @@ def completed_dimension(alg: AlgebraPresentation, budget: Optional[Budget] = Non
     algebra on the normal-word basis.
     """
     budget = budget or Budget()
-    order = alg.order()
-    rel_deg = max((r.degree() for r in alg.relations if not r.is_zero()), default=1)
-    d = max(2 * rel_deg, 4)
-    gb = None
-    while d <= max_truncation:
-        gb = truncated_groebner(alg, order, d, budget)
-        if gb.complete:
-            break
-        d = d + max(2, d // 2)
-    if gb is None or not gb.complete:
-        raise BudgetExceededError("no complete basis below truncation degree %d" % max_truncation)
+    gb = complete_groebner(alg, budget=budget, max_truncation=max_truncation)
     try:
         words = enumerate_normal_words(gb, None, None, None)
-    except BudgetExceededError as exc:
-        if "pumping bound" in str(exc):
-            return INFINITE
-        raise
+    except InfiniteDimensionError:
+        return INFINITE
     n = len(words)
     pos = {p: i for i, p in enumerate(words)}
     quiver, params = alg.quiver, alg.params

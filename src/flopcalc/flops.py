@@ -65,7 +65,8 @@ class Hypersurface:
     NF(x'^2) decomposes as P x' + Q over the free module on {e0, x'}; the
     centering x := x' - P/2 gives f = x^2 - g with g = Q + P^2/4.  `ring`
     is the pipeline parameter ring extended by the auxiliary generator
-    names and the variable x.
+    names and the variable x.  A nice-basis hypersurface keeps the raw one
+    it was computed from in `raw`, and the change of basis in `basis_map`.
     """
 
     def __init__(self, pipeline: PipelineData, gb: GroebnerBasis,
@@ -82,6 +83,8 @@ class Hypersurface:
         self.g = (Q + P * P * Fraction(1, 4)).cast(self.ring)
         x = self.ring.var("x")
         self.equation = x * x - self.g
+        self.raw: Optional[Hypersurface] = None
+        self.basis_map = None
 
     @property
     def f(self) -> MultiPoly:
@@ -280,6 +283,7 @@ def hypersurface(source, gb_degree: Optional[int] = None, basis: str = "raw",
                            raw.P.substitute(mapping, ring),
                            raw.Q.substitute(mapping, ring),
                            raw.x_centered, aux)
+        hyp.raw = raw
         hyp.basis_map = (ring, mapping)
         return hyp
     pipe = _pipeline_of(source, basis)
@@ -448,9 +452,9 @@ def matrix_factorization(source, gb_degree: Optional[int] = None, basis: str = "
     if basis == "nice":
         if hyp is None:
             hyp = hypersurface(source, gb_degree=gb_degree, basis="nice", budget=budget)
-        raw_hyp = hypersurface(source, gb_degree=gb_degree, basis="raw",
-                               budget=budget, gb=hyp.gb)
-        raw_mf = matrix_factorization(source, basis="raw", budget=budget, hyp=raw_hyp)
+        if hyp.raw is None:
+            raise PipelineError("basis='nice' needs a nice-basis hypersurface")
+        raw_mf = matrix_factorization(source, basis="raw", budget=budget, hyp=hyp.raw)
         ring, mapping = hyp.basis_map
         C = [[e.substitute(mapping, ring) for e in row] for row in raw_mf.C]
         mf = MatrixFactorization(hyp, raw_mf.generators, C)

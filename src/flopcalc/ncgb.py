@@ -16,6 +16,10 @@ majority) are made genuinely monic at creation, so most rewrite steps are
 exact; the monic-over-the-fraction-field view of the basis is what
 `rule_elements` and `serialize` present.
 
+Every reduction rewrites the largest reducible word first.  The pending
+words wait in a max-heap, so each word's order key is computed once per
+reduction rather than once per rewrite step.
+
 Normal forms are unique for inputs whose degree stays within the
 truncation bound; `reduce_element` is the same rewriting loop without the
 degree guard (sound for ideal membership at any degree, canonical only
@@ -25,6 +29,8 @@ below it).
 from __future__ import annotations
 
 import os
+from heapq import heappop, heappush
+from itertools import count
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .coeff import MultiPoly, ParamRing, RatFunc, divexact, poly_gcd
@@ -32,6 +38,7 @@ from .pathalg import (
     AlgebraPresentation,
     Element,
     MonomialOrder,
+    ParseError,
     Path,
     PathAlgebraError,
     Quiver,
@@ -51,6 +58,11 @@ class BudgetExceededError(RuntimeError):
         self.partial = partial
 
 
+class InfiniteDimensionError(BudgetExceededError):
+    """Normal words grow past the pumping bound: the quotient is infinite
+    dimensional."""
+
+
 class TruncationError(PathAlgebraError):
     """Input degree exceeds the basis truncation degree."""
 
@@ -60,7 +72,11 @@ class Budget:
 
     def __init__(self, max_steps: Optional[int] = None):
         if max_steps is None:
-            max_steps = int(os.environ.get("FLOPCALC_MAX_STEPS", DEFAULT_MAX_STEPS))
+            raw = os.environ.get("FLOPCALC_MAX_STEPS")
+            try:
+                max_steps = DEFAULT_MAX_STEPS if raw is None else int(raw)
+            except ValueError:
+                raise ParseError("FLOPCALC_MAX_STEPS must be an integer, got %r" % raw) from None
         self.max_steps = max_steps
         self.steps = 0
 
@@ -238,19 +254,47 @@ def _reduce_poly_terms(
     The result equals multiplier * (exact reduction of the input); the
     multiplier is the product of the nonconstant leading coefficients of
     the rules applied.  Deterministic: largest reducible word first.
+
+    The pending words of `work` sit in a max-heap keyed by their order key,
+    computed once per distinct word.  Only idempotents e_v at different
+    vertices share a key; a sequence number breaks those ties by the order
+    in which the words entered `work`.  A word that cancels keeps its heap
+    entry, which is skipped when popped because `live` no longer holds its
+    sequence number.
     """
     ring = None
     work: PolyTerms = {}
+    live: Dict[Path, int] = {}
+    heap: List[Tuple[tuple, int, Path]] = []
+    neg_keys: Dict[Path, tuple] = {}
+    seq = count()
+    key = order.key
+
+    def push(p: Path):
+        nk = neg_keys.get(p)
+        if nk is None:
+            # heapq pops the smallest entry, so negate the key; rank tuples
+            # only meet at equal length, where negating each rank reverses
+            # their lexicographic order
+            k = key(p)
+            nk = neg_keys[p] = (-k[0], -k[1], tuple([-r for r in k[2]]))
+        n = next(seq)
+        live[p] = n
+        heappush(heap, (nk, n, p))
+
     for p, c in terms.items():
         if not c.is_zero():
             work[p] = c
+            push(p)
             ring = c.ring
     out: PolyTerms = {}
     mult: Optional[MultiPoly] = None
-    key = order.key
     find = index.find
-    while work:
-        w = max(work, key=key)
+    while heap:
+        _, n, w = heappop(heap)
+        if live.get(w) != n:
+            continue
+        del live[w]
         c = work.pop(w)
         if c.is_zero():
             continue
@@ -279,9 +323,15 @@ def _reduce_poly_terms(
             np = Path(quiver, w.source, pre + rw.arrows + post, _check=False)
             nc = c * rc
             prev = work.get(np)
-            s = nc if prev is None else prev + nc
+            if prev is None:
+                if not nc.is_zero():
+                    work[np] = nc
+                    push(np)
+                continue
+            s = prev + nc
             if s.is_zero():
-                work.pop(np, None)
+                del work[np]
+                del live[np]
             else:
                 work[np] = s
     if mult is None:
@@ -565,7 +615,7 @@ def enumerate_normal_words(
     With max_degree=None the enumeration runs until a degree level is empty
     (valid because normal words are closed under taking prefixes); if it
     instead passes the pumping bound the quotient is infinite dimensional
-    and BudgetExceededError is raised.
+    and InfiniteDimensionError is raised.
     """
     quiver = gb.algebra.quiver
     if source is not None:
@@ -594,7 +644,7 @@ def enumerate_normal_words(
                 np = Path(quiver, p.source, p.arrows + (a.index,), _check=False)
                 if np.degree > bound:
                     if max_degree is None:
-                        raise BudgetExceededError(
+                        raise InfiniteDimensionError(
                             "normal words keep growing past the pumping bound; "
                             "the quotient is infinite dimensional"
                         )
@@ -631,19 +681,20 @@ def _pumping_bound(gb: GroebnerBasis) -> int:
     return (states + window + 2) * maxdeg
 
 
-def dimension(
+def complete_groebner(
     algebra: AlgebraPresentation,
     order: Optional[MonomialOrder] = None,
     start_degree: Optional[int] = None,
     max_truncation: int = 64,
     budget: Optional[Budget] = None,
-):
-    """Total normal-word count when finite; INFINITE for provable growth.
+) -> GroebnerBasis:
+    """The first complete truncated basis (no overlap skipped) on a rising
+    ladder of truncation degrees.
 
-    The detection loop raises the truncation degree until the basis is
-    complete (no overlaps skipped); a complete basis either hits an empty
-    degree level (finite, exact count) or passes the pumping bound
-    (infinite dimensional).  Budget exhaustion raises BudgetExceededError.
+    Starts at `start_degree`, by default twice the largest relation degree
+    and at least 4, and raises the degree by max(2, d // 2) each time.
+    Raises BudgetExceededError when no degree up to `max_truncation` gives
+    a complete basis.
     """
     budget = budget or Budget()
     if order is None:
@@ -653,12 +704,26 @@ def dimension(
     while d <= max_truncation:
         gb = truncated_groebner(algebra, order, d, budget)
         if gb.complete:
-            try:
-                words = enumerate_normal_words(gb, None, None, None)
-            except BudgetExceededError as exc:
-                if "pumping bound" in str(exc):
-                    return INFINITE
-                raise
-            return len(words)
+            return gb
         d = d + max(2, d // 2)
     raise BudgetExceededError("no complete basis below truncation degree %d" % max_truncation)
+
+
+def dimension(
+    algebra: AlgebraPresentation,
+    order: Optional[MonomialOrder] = None,
+    start_degree: Optional[int] = None,
+    max_truncation: int = 64,
+    budget: Optional[Budget] = None,
+):
+    """Total normal-word count when finite; INFINITE for provable growth.
+
+    A complete basis (`complete_groebner`) either hits an empty degree
+    level (finite, exact count) or passes the pumping bound (infinite
+    dimensional).  Budget exhaustion raises BudgetExceededError.
+    """
+    gb = complete_groebner(algebra, order, start_degree, max_truncation, budget)
+    try:
+        return len(enumerate_normal_words(gb, None, None, None))
+    except InfiniteDimensionError:
+        return INFINITE

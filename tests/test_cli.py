@@ -73,6 +73,18 @@ def test_budget_exit_code():
     assert code == EXIT_BUDGET
 
 
+def test_budget_zero_is_not_the_default():
+    code, _ = invoke(["nf", "--builtin", "length-2", "--element", "a*A",
+                      "--degree", "6", "--budget", "0"])
+    assert code == EXIT_BUDGET
+
+
+def test_malformed_max_steps_environment_is_a_usage_error(monkeypatch):
+    monkeypatch.setenv("FLOPCALC_MAX_STEPS", "abc")
+    code, _ = invoke(["gb", "--builtin", "laufer-nccr", "--degree", "6"])
+    assert code == EXIT_USAGE
+
+
 def test_heavy_gating():
     code, _ = invoke(["hypersurface", "--length", "4"])
     assert code == EXIT_DOMAIN

@@ -77,6 +77,25 @@ def test_length2_nice_equation(l2_nice_hyp):
     assert l2_nice_hyp.P == parse_poly("2*t*v", l2_nice_hyp.P.ring)
 
 
+def test_nice_mf_reuses_the_raw_hypersurface(monkeypatch):
+    # one span solve for the hypersurface, one per generator (2l = 4) for
+    # the factorisation; the raw hypersurface is not solved a second time
+    from flopcalc import flops
+    calls = []
+    solve = flops._express_in_span
+
+    def counting(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(flops, "_express_in_span", counting)
+    entry = universal_flopping_algebra(2)
+    hyp = hypersurface(entry, basis="nice")
+    mf = matrix_factorization(entry, basis="nice", hyp=hyp)
+    assert len(calls) == 5
+    assert mf.check()
+
+
 def test_length2_nice_central_fibre_is_d4():
     # t_a = t_b = t_c = t_d = 0 means t = u = w = 0 and v = -(z+y)/2
     hyp = hypersurface(universal_flopping_algebra(2), basis="nice")
@@ -208,6 +227,13 @@ def test_verify_superpotential_laufer():
     b = builtins()["laufer-nccr"]
     report = verify_superpotential(b.presentation(), b.superpotential_element())
     assert report.ok, report.failures()
+
+
+def test_verify_superpotential_shipped_length_4_5_6():
+    for name in ("length-4-nccr", "length-5-nccr", "length-6-nccr"):
+        b = builtins()[name]
+        report = verify_superpotential(b.presentation(), b.superpotential_element())
+        assert report.ok, (name, report.failures())
 
 
 def test_verify_superpotential_zero_on_free():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -8,14 +9,19 @@ from flopcalc.ncgb import (
     Budget,
     BudgetExceededError,
     INFINITE,
+    InfiniteDimensionError,
     TruncationError,
+    _clear_denominators,
+    _reduce_poly_terms,
+    complete_groebner,
     dimension,
     enumerate_normal_words,
     normal_form,
     reduce_element,
+    reduce_poly,
     truncated_groebner,
 )
-from flopcalc.pathalg import Element, Path, parse_presentation
+from flopcalc.pathalg import Element, MonomialOrder, Path, parse_presentation
 
 
 def pres_from(text):
@@ -26,6 +32,12 @@ FREE2 = "params:\nvertices: 0\narrows: x: 0 -> 0, y: 0 -> 0\nrelations:"
 COMM = "params:\nvertices: 0\narrows: x: 0 -> 0, y: 0 -> 0\nrelations: x*y - y*x"
 LAUFER_CON = ("params:\nvertices: 4\narrows: b: 4 -> 4, c: 4 -> 4\n"
               "relations: c^3 - b^2 ; b*c + c*b")
+SINKS = ("params:\nvertices: 0\narrows: x: 0 -> 0, y: 0 -> 0, u: 0 -> 0, z: 0 -> 0\n"
+         "relations: x - z ; y - z ; u - z")
+TWO_VERTEX = ("params: t\nvertices: 0, 1\narrows: a: 0 -> 1, b: 1 -> 0, c: 1 -> 1\n"
+              "relations: t*a*b - e0 ; c*c - b*a + e1")
+LOOPS = ("params:\nvertices: 0, 1\narrows: p: 0 -> 0, q: 0 -> 0, r: 1 -> 1\n"
+         "relations: p*p - e0 ; q*q - e0 ; r*r - e1")
 D4_CON = ("params:\nvertices: 4\narrows: b: 4 -> 4, c: 4 -> 4\n"
           "relations: b^2 ; c^2 ; (b + c)^2")
 
@@ -221,3 +233,78 @@ def test_serialized_rules_parse_back():
     for r in gb.rules:
         rem = r.remainder_element(q, pr)
         assert parse_element(rem.format(gb.order), q, pr) == rem
+
+
+class _CountingOrder(MonomialOrder):
+    """The same order, counting key computations per word."""
+
+    def __init__(self, order):
+        super().__init__(order.quiver, order.precedence)
+        self.calls = collections.Counter()
+
+    def key(self, path):
+        self.calls[path] += 1
+        return super().key(path)
+
+
+def test_reduction_word_cancels_and_reappears():
+    # x -> z cancels against y -> z, then u -> z re-creates z while its
+    # first entry is still pending
+    pres = pres_from(SINKS)
+    gb = truncated_groebner(pres, max_degree=4)
+    nf = normal_form(pres.element("x - y + u"), gb)
+    assert nf == pres.element("z")
+    assert normal_form(pres.element("x*x - y*u + u*y"), gb) == pres.element("z*z")
+
+
+def test_reduction_computes_each_order_key_once():
+    for text, degree, element in ((SINKS, 4, "x - y + u"),
+                                  (LAUFER_CON, 12, "(b + c)^6 + c^2*b*c^2"),
+                                  (TWO_VERTEX, 6, "a*c*c*b + e1 - c^4")):
+        pres = pres_from(text)
+        gb = truncated_groebner(pres, max_degree=degree)
+        counting = _CountingOrder(gb.order)
+        terms, _ = _clear_denominators(pres.element(element))
+        got = _reduce_poly_terms(terms, gb._index, pres.quiver, counting, Budget())
+        assert got == reduce_poly(pres.element(element), gb)
+        assert counting.calls and max(counting.calls.values()) == 1
+
+
+def test_idempotent_ties_keep_recorded_order():
+    # e0 and e1 share the smallest order key; the recorded term orders and
+    # basis are those of the linear-scan reduction this loop replaced
+    pres = pres_from(TWO_VERTEX)
+    gb = truncated_groebner(pres, max_degree=6)
+    assert gb.serialize() == (
+        "order: deglex; a, b, c\ntruncation_degree: 6\ncomplete: false\n"
+        "b*a -> c*c + e1\na*b -> ((1)/(t))*e0\nc*c*b -> ((-t + 1)/(t))*b\n"
+        "a*c*c -> ((-t + 1)/(t))*a\n"
+        "c*c*c*c -> ((-2*t + 1)/(t))*c*c + ((-t + 1)/(t))*e1\n")
+    recorded = {
+        "e1 + e0 + a*b + b*a + c^3": "c*c*c + c*c + 2*e1 + ((t + 1)/(t))*e0",
+        "e0 + 2*e1 + c*c + a*b": "c*c + ((t + 1)/(t))*e0 + 2*e1",
+        "a*c*c*b + e1 - c^4":
+            "((2*t - 1)/(t))*c*c + ((2*t - 1)/(t))*e1 + ((-t + 1)/(t^2))*e0",
+    }
+    for text, want in recorded.items():
+        assert normal_form(pres.element(text), gb).format(gb.order) == want
+    # e0 cancels (p*p) and comes back (q*q) after e1 entered: e1 goes first
+    pres = pres_from(LOOPS)
+    gb = truncated_groebner(pres, max_degree=4)
+    nf = normal_form(pres.element("e0 + e1 - p*p + q*q"), gb)
+    assert nf.format(gb.order) == "e1 + e0"
+
+
+def test_infinite_dimension_is_typed():
+    gb = truncated_groebner(pres_from(FREE2), max_degree=4)
+    with pytest.raises(InfiniteDimensionError):
+        enumerate_normal_words(gb, None, None, None)
+    assert issubclass(InfiniteDimensionError, BudgetExceededError)
+
+
+def test_complete_groebner_escalates_and_gives_up():
+    # incomplete at degrees 4 and 6, complete at 9
+    gb = complete_groebner(pres_from(TWO_VERTEX))
+    assert gb.complete and gb.truncation_degree == 9
+    with pytest.raises(BudgetExceededError, match="no complete basis"):
+        complete_groebner(pres_from(TWO_VERTEX), max_truncation=8)
