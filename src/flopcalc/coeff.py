@@ -933,11 +933,19 @@ class RatFunc:
 
     def __hash__(self):
         # hash through evaluation at a fixed point so that equal values
-        # (even when a reduction was skipped) hash identically
+        # (even when a reduction was skipped) hash identically; where the
+        # denominator vanishes there, hash the lowest-terms form instead,
+        # which is the same for all equal values
         if self._hash is None:
-            num = _hash_eval(self.num)
-            den = _hash_eval(self.den)
-            self._hash = hash((self.ring, Fraction(num, den) if den else ("pole", num)))
+            num, den = self.num, self.den
+            den_value = _hash_eval(den)
+            if not den_value:
+                num, den = _normalize_frac(num, den)
+                den_value = _hash_eval(den)
+            if den_value:
+                self._hash = hash((self.ring, Fraction(_hash_eval(num), den_value)))
+            else:
+                self._hash = hash((self.ring, "pole", num, den))
         return self._hash
 
     def substitute(self, mapping: Mapping[str, MultiPoly], ring: Optional[ParamRing] = None) -> "RatFunc":

@@ -237,7 +237,12 @@ def completed_dimension(alg: AlgebraPresentation, budget: Optional[Budget] = Non
 def contraction_dims(alg: AlgebraPresentation, e0, budget: Optional[Budget] = None,
                      max_truncation: int = 64) -> Tuple[object, object]:
     """(dim, dim_ab) of the (complete local) contraction algebra at e0."""
-    con = contraction_presentation(alg, e0)
+    return _dims_of(contraction_presentation(alg, e0), budget, max_truncation)
+
+
+def _dims_of(con: AlgebraPresentation, budget: Optional[Budget],
+             max_truncation: int) -> Tuple[object, object]:
+    """(dim, dim_ab) of a contraction presentation that is already built."""
     try:
         dim = completed_dimension(con, budget=budget, max_truncation=max_truncation)
     except BudgetExceededError as exc:
@@ -285,7 +290,7 @@ def contraction_report(alg: AlgebraPresentation, e0, length: Optional[int] = Non
                        budget: Optional[Budget] = None,
                        max_truncation: int = 64) -> ContractionReport:
     con = contraction_presentation(alg, e0)
-    dim, dim_ab = contraction_dims(alg, e0, budget=budget, max_truncation=max_truncation)
+    dim, dim_ab = _dims_of(con, budget, max_truncation)
     if dim == INFINITE or dim_ab == INFINITE:
         return ContractionReport(con, dim, dim_ab, [], length)
     return ContractionReport(con, dim, dim_ab, gv_invariants(dim, dim_ab, length), length)

@@ -168,30 +168,38 @@ class _AuxMonomials:
         return elem
 
 
-def _express_in_span(target, columns, params) -> Optional[Dict]:
-    """Solve target = sum_k coeff_k * column_k exactly; None if inconsistent.
+def _express_in_span(targets, columns, params) -> List[Optional[Dict]]:
+    """Solve target = sum_k coeff_k * column_k exactly for every target.
 
-    Target and columns are fraction-free pairs (poly terms, scale) with
-    terms = scale * value.  Columns are linearly independent by freeness,
-    so a solution is unique; forward elimination is Bareiss fraction-free
-    and only the final back substitution touches rational functions.
+    Returns one solution per target, or None where that target does not
+    lie in the span.  Targets and columns are fraction-free pairs
+    (poly terms, scale) with terms = scale * value.  Columns are linearly
+    independent by freeness, so each solution is unique.  The word x column
+    matrix is factored once: the targets ride along as extra right-hand
+    side columns of a single Bareiss fraction-free forward elimination
+    whose pivots are chosen among the real columns only, so every
+    eliminated right-hand side is exactly what a one-target elimination
+    would give.  Only the per-target back substitutions touch rational
+    functions.
     """
-    t_terms, t_scale = target
     words = {}
     for _, col_terms, _ in columns:
         for p in col_terms:
             words.setdefault(p, len(words))
-    for p in t_terms:
-        if p not in words:
-            return None
+    # a target with a word outside the columns is not in the span; the
+    # rest ride along as right-hand sides
+    live = [t for t, (t_terms, _) in enumerate(targets)
+            if all(p in words for p in t_terms)]
     ncols = len(columns)
+    width = ncols + len(live)
     zero = params.zero()
-    rows = [[zero] * (ncols + 1) for _ in range(len(words))]
+    rows = [[zero] * width for _ in range(len(words))]
     for j, (_, col_terms, _) in enumerate(columns):
         for p, c in col_terms.items():
             rows[words[p]][j] = c
-    for p, c in t_terms.items():
-        rows[words[p]][ncols] = c
+    for k, t in enumerate(live, ncols):
+        for p, c in targets[t][0].items():
+            rows[words[p]][k] = c
 
     pivot_row_of_col = {}
     r = 0
@@ -210,14 +218,14 @@ def _express_in_span(target, columns, params) -> Optional[Dict]:
             if rows[i][j].is_zero():
                 # still must rescale for Bareiss consistency
                 updated = []
-                for k in range(j, ncols + 1):
+                for k in range(j, width):
                     val = rows[i][k] * piv
                     updated.append(divexact(val, prev) if not prev.is_one() else val)
                 rows[i][j:] = updated
                 continue
             fij = rows[i][j]
             updated = []
-            for k in range(j, ncols + 1):
+            for k in range(j, width):
                 val = rows[i][k] * piv - fij * rows[r][k]
                 updated.append(divexact(val, prev) if not prev.is_one() else val)
             rows[i][j:] = updated
@@ -225,29 +233,27 @@ def _express_in_span(target, columns, params) -> Optional[Dict]:
         prev = piv
         r += 1
 
-    # consistency: rows beyond the pivots must have zero RHS (their column
-    # entries are all zero by construction)
-    for i in range(r, len(rows)):
-        if any(not rows[i][k].is_zero() for k in range(ncols)):
-            return None  # a free column below a pivot: cannot happen
-        if not rows[i][ncols].is_zero():
-            return None
-
-    # back substitution over the fraction field (few operations)
-    sol: List[RatFunc] = [RatFunc.coerce(params, 0)] * ncols
-    for j in sorted(pivot_row_of_col, reverse=True):
-        i = pivot_row_of_col[j]
-        acc = RatFunc(rows[i][ncols])
-        for k in range(j + 1, ncols):
-            if not rows[i][k].is_zero() and not sol[k].is_zero():
-                acc = acc - RatFunc(rows[i][k]) * sol[k]
-        sol[j] = acc / RatFunc(rows[i][j])
-
-    scale = RatFunc(t_scale)
-    out = {}
-    for j, (key, _, col_scale) in enumerate(columns):
-        if not sol[j].is_zero():
-            out[key] = sol[j] * RatFunc(col_scale) / scale
+    # rows beyond the pivots have zero column entries by construction; a
+    # target is consistent when its right-hand side vanishes there too
+    out: List[Optional[Dict]] = [None] * len(targets)
+    if any(not rows[i][k].is_zero() for i in range(r, len(rows)) for k in range(ncols)):
+        return out  # a free column below a pivot: cannot happen
+    for k, t in enumerate(live, ncols):
+        if any(not rows[i][k].is_zero() for i in range(r, len(rows))):
+            continue
+        # back substitution over the fraction field (few operations)
+        sol: List[RatFunc] = [RatFunc.coerce(params, 0)] * ncols
+        for j in sorted(pivot_row_of_col, reverse=True):
+            i = pivot_row_of_col[j]
+            acc = RatFunc(rows[i][k])
+            for m in range(j + 1, ncols):
+                if not rows[i][m].is_zero() and not sol[m].is_zero():
+                    acc = acc - RatFunc(rows[i][m]) * sol[m]
+            sol[j] = acc / RatFunc(rows[i][j])
+        scale = RatFunc(targets[t][1])
+        out[t] = {key: sol[j] * RatFunc(col_scale) / scale
+                  for j, (key, _, col_scale) in enumerate(columns)
+                  if not sol[j].is_zero()}
     return out
 
 
@@ -316,7 +322,7 @@ def hypersurface(source, gb_degree: Optional[int] = None, basis: str = "raw",
         if terms:
             columns.append((("P", m), terms, scale))
 
-    solution = _express_in_span(square, columns, pres.params)
+    solution, = _express_in_span([square], columns, pres.params)
     if solution is None:
         raise TruncationInsufficientError(
             "NF(x'^2) does not expand over the central monomials at truncation "
@@ -446,8 +452,10 @@ def matrix_factorization(source, gb_degree: Optional[int] = None, basis: str = "
     """Read off C from the x-action on the 2l module generators.
 
     Each NF(x . g_i) is expanded over the module basis {m g_j} (auxiliary
-    monomial times generator, unique by freeness); C^2 = g I is checked
-    exactly before returning.
+    monomial times generator, unique by freeness).  The module basis is one
+    column matrix for all 2l rows of C, so it is factored once and the 2l
+    images are solved as right-hand sides of that one elimination.
+    C^2 = g I is checked exactly before returning.
     """
     if basis == "nice":
         if hyp is None:
@@ -498,10 +506,10 @@ def matrix_factorization(source, gb_degree: Optional[int] = None, basis: str = "
                 columns.append(((j, m), terms, scale))
 
     n = len(gen_paths)
+    images = [reduce_poly(x * g_el, gb, budget) for g_el in gen_nfs]
+    solutions = _express_in_span(images, columns, pres.params)
     C: List[List[MultiPoly]] = [[ring.zero() for _ in range(n)] for _ in range(n)]
-    for i, g_el in enumerate(gen_nfs):
-        image = reduce_poly(x * g_el, gb, budget)
-        solution = _express_in_span(image, columns, pres.params)
+    for i, solution in enumerate(solutions):
         if solution is None:
             raise TruncationInsufficientError(
                 "NF(x.g_%d) does not expand over the generator module basis at "

@@ -176,6 +176,22 @@ def test_ratfunc_normalization():
     assert (s * t).is_one()
 
 
+def test_ratfunc_hash_agrees_with_equality_at_the_hash_point():
+    # the hash evaluates at a = 10007; equal values whose stored
+    # denominators vanish there must still hash alike
+    ring = ParamRing(["a"])
+    a = ring.var("a")
+    one = ring.one()
+    pole = RatFunc(a + 2 * one, a - 10007 * one)
+    unreduced = RatFunc((a + 2 * one) * (a + one), (a - 10007 * one) * (a + one),
+                        _normalized=True)
+    assert pole == unreduced and hash(pole) == hash(unreduced)
+    finite = RatFunc(a + 2 * one, a + one)
+    removable = RatFunc((a + 2 * one) * (a - 10007 * one), (a + one) * (a - 10007 * one),
+                        _normalized=True)
+    assert finite == removable and hash(finite) == hash(removable)
+
+
 def test_ratfunc_field_axioms():
     rng = random.Random(13)
     for _ in range(20):

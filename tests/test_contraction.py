@@ -111,6 +111,21 @@ def test_contraction_report_laufer():
     assert rep.gv_solutions == [(5, 1, 0, 0, 0, 0)]
 
 
+def test_contraction_report_builds_the_presentation_once(monkeypatch):
+    from flopcalc import contraction
+    builds = []
+    build = contraction.contraction_presentation
+
+    def counting(alg, e0):
+        builds.append(e0)
+        return build(alg, e0)
+
+    monkeypatch.setattr(contraction, "contraction_presentation", counting)
+    rep = contraction_report(builtins()["laufer-nccr"].presentation(), "0", length=2)
+    assert builds == ["0"]
+    assert (rep.dim, rep.dim_ab, rep.gv_solutions) == (9, 5, [(5, 1, 0, 0, 0, 0)])
+
+
 def test_completed_vs_graded_dimension():
     # the length-3 flop contraction has three extra one-dimensional
     # simples away from the origin: affine word count 30, complete local 27

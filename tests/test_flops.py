@@ -11,7 +11,7 @@ from flopcalc.catalog import (
     preprojective,
     universal_flopping_algebra,
 )
-from flopcalc.coeff import MultiPoly, ParamRing, parse_poly
+from flopcalc.coeff import MultiPoly, ParamRing, RatFunc, divexact, parse_poly
 from flopcalc.flops import (
     PipelineError,
     Representation,
@@ -22,7 +22,7 @@ from flopcalc.flops import (
     verify_representation,
     verify_superpotential,
 )
-from flopcalc.pathalg import parse_presentation
+from flopcalc.pathalg import Path, parse_presentation
 
 
 @pytest.fixture(scope="module")
@@ -78,22 +78,134 @@ def test_length2_nice_equation(l2_nice_hyp):
 
 
 def test_nice_mf_reuses_the_raw_hypersurface(monkeypatch):
-    # one span solve for the hypersurface, one per generator (2l = 4) for
-    # the factorisation; the raw hypersurface is not solved a second time
+    # one span solve for the hypersurface and one for the factorisation,
+    # which carries all 2l = 4 generator images as right-hand sides of one
+    # factored column matrix; the raw hypersurface is not solved twice
     from flopcalc import flops
-    calls = []
+    targets_per_call = []
     solve = flops._express_in_span
 
-    def counting(*args):
-        calls.append(1)
-        return solve(*args)
+    def counting(targets, columns, params):
+        targets_per_call.append(len(targets))
+        return solve(targets, columns, params)
 
     monkeypatch.setattr(flops, "_express_in_span", counting)
     entry = universal_flopping_algebra(2)
     hyp = hypersurface(entry, basis="nice")
     mf = matrix_factorization(entry, basis="nice", hyp=hyp)
-    assert len(calls) == 5
+    assert targets_per_call == [1, 4]
     assert mf.check()
+
+
+def _reference_express(target, columns, params):
+    """One-target Bareiss solve: the reference that the factored solve must
+    match for each of its targets."""
+    t_terms, t_scale = target
+    words = {}
+    for _, col_terms, _ in columns:
+        for p in col_terms:
+            words.setdefault(p, len(words))
+    for p in t_terms:
+        if p not in words:
+            return None
+    ncols = len(columns)
+    zero = params.zero()
+    rows = [[zero] * (ncols + 1) for _ in range(len(words))]
+    for j, (_, col_terms, _) in enumerate(columns):
+        for p, c in col_terms.items():
+            rows[words[p]][j] = c
+    for p, c in t_terms.items():
+        rows[words[p]][ncols] = c
+    pivot_row_of_col = {}
+    r = 0
+    prev = params.one()
+    for j in range(ncols):
+        pv = None
+        for i in range(r, len(rows)):
+            if not rows[i][j].is_zero():
+                pv = i
+                break
+        if pv is None:
+            continue
+        rows[r], rows[pv] = rows[pv], rows[r]
+        piv = rows[r][j]
+        for i in range(r + 1, len(rows)):
+            if rows[i][j].is_zero():
+                updated = []
+                for k in range(j, ncols + 1):
+                    val = rows[i][k] * piv
+                    updated.append(divexact(val, prev) if not prev.is_one() else val)
+                rows[i][j:] = updated
+                continue
+            fij = rows[i][j]
+            updated = []
+            for k in range(j, ncols + 1):
+                val = rows[i][k] * piv - fij * rows[r][k]
+                updated.append(divexact(val, prev) if not prev.is_one() else val)
+            rows[i][j:] = updated
+        pivot_row_of_col[j] = r
+        prev = piv
+        r += 1
+    for i in range(r, len(rows)):
+        if any(not rows[i][k].is_zero() for k in range(ncols)):
+            return None
+        if not rows[i][ncols].is_zero():
+            return None
+    sol = [RatFunc.coerce(params, 0)] * ncols
+    for j in sorted(pivot_row_of_col, reverse=True):
+        i = pivot_row_of_col[j]
+        acc = RatFunc(rows[i][ncols])
+        for k in range(j + 1, ncols):
+            if not rows[i][k].is_zero() and not sol[k].is_zero():
+                acc = acc - RatFunc(rows[i][k]) * sol[k]
+        sol[j] = acc / RatFunc(rows[i][j])
+    scale = RatFunc(t_scale)
+    out = {}
+    for j, (key, _, col_scale) in enumerate(columns):
+        if not sol[j].is_zero():
+            out[key] = sol[j] * RatFunc(col_scale) / scale
+    return out
+
+
+@pytest.mark.parametrize("name", ["universal-2", "laufer"])
+def test_factored_span_solve_matches_one_solve_per_target(monkeypatch, name):
+    from flopcalc import flops
+    calls = []
+    solve = flops._express_in_span
+
+    def capturing(targets, columns, params):
+        calls.append((list(targets), columns, params))
+        return solve(targets, columns, params)
+
+    monkeypatch.setattr(flops, "_express_in_span", capturing)
+    entry = universal_flopping_algebra(2) if name == "universal-2" else builtins()[name]
+    matrix_factorization(entry)
+    monkeypatch.undo()
+    images, columns, params = calls[-1]
+    assert len(images) == 4
+    want = [_reference_express(t, columns, params) for t in images]
+    assert all(w is not None for w in want)
+    assert solve(images, columns, params) == want
+
+    column_words = {p for _, col_terms, _ in columns for p in col_terms}
+    # a word outside the columns: the longest column word times one arrow
+    longest = max(column_words, key=lambda p: p.degree)
+    quiver = entry.pipeline("raw").presentation.quiver
+    arrow = next(i for i, a in enumerate(quiver.arrows) if a.source == longest.target)
+    outside = Path(quiver, longest.source, longest.arrows + (arrow,))
+    assert outside not in column_words
+    terms, scale = images[0]
+    stray = ({**terms, outside: params.one()}, scale)
+    # a lone column word outside the span: every word is a row, but its
+    # eliminated right-hand side is nonzero below the pivots
+    singles = [({p: params.one()}, params.one()) for p in
+               sorted(column_words, key=lambda p: (p.degree, p.source, p.arrows),
+                      reverse=True)]
+    lone = next(t for t in singles if _reference_express(t, columns, params) is None)
+    mixed = [stray, images[0], lone] + images[1:]
+    got = solve(mixed, columns, params)
+    assert got == [None, want[0], None] + want[1:]
+    assert _reference_express(stray, columns, params) is None
 
 
 def test_length2_nice_central_fibre_is_d4():
