@@ -505,16 +505,21 @@ def _monic(p: MultiPoly) -> MultiPoly:
     return MultiPoly(p.ring, {e: v / c for e, v in p.terms.items()})
 
 
-_GCD_CACHE: Dict[Tuple["MultiPoly", "MultiPoly"], "MultiPoly"] = {}
-
-
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """gcd over Q[params], normalized monic under graded lex.
 
-    Heuristic evaluation gcd (integer evaluation and balanced base-xi
-    reconstruction, verified by exact division) with a primitive-PRS
-    fallback; results are memoized because the same denominators recur
-    constantly during rewriting.
+    Three paths, each exact and each kept because it pays:
+
+    - zero and constant operands return at once;
+    - when one operand is a single term the gcd is the common monomial
+      (``_monomial_gcd_fast``): the commonest non-constant call in
+      rewriting, answered here far more cheaply than by GCDHEU;
+    - otherwise the heuristic evaluation gcd GCDHEU (Char, Geddes and
+      Gonnet: integer evaluation and balanced base-xi reconstruction, every
+      candidate verified by exact division), which stays fast on the
+      eight-parameter contents of fraction-free rules.  Only when it gives
+      up does the primitive-PRS recursion ``_gcd_rec`` run: the one path
+      that always answers, far too slow on those contents to run alone.
     """
     if f.is_zero():
         return _monic(g)
@@ -522,52 +527,14 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return _monic(f)
     if f.is_constant() or g.is_constant():
         return f.ring.one()
-    key = (f, g) if len(f.terms) <= len(g.terms) else (g, f)
-    hit = _GCD_CACHE.get(key)
-    if hit is not None:
-        return hit
     mono = _monomial_gcd_fast(f, g)
     if mono is not None:
-        result = mono
-    elif _coprime_prescreen(f, g):
-        result = f.ring.one()
-    else:
-        result = _gcd_heu_entry(f, g)
-        if result is None:
-            used = sorted(set(_vars_used(f)) | set(_vars_used(g)))
-            result = _monic(_gcd_rec(f, g, used))
-    if len(_GCD_CACHE) > 200000:
-        _GCD_CACHE.clear()
-    _GCD_CACHE[key] = result
+        return mono
+    result = _gcd_heu_entry(f, g)
+    if result is None:
+        used = sorted(set(_vars_used(f)) | set(_vars_used(g)))
+        result = _monic(_gcd_rec(f, g, used))
     return result
-
-
-_PRESCREEN_POINTS = (10007, 10501, 11003, 11513, 12007, 12511, 13001, 13513,
-                     14009, 14503, 15013, 15511)
-
-
-def _coprime_prescreen(f: MultiPoly, g: MultiPoly) -> bool:
-    """Cheap certificate attempt that gcd(f, g) = 1 via integer evaluation.
-
-    Any common factor divides both evaluations at the fixed point, so two
-    coprime evaluations prove coprimality up to the (rare) chance that the
-    factor evaluates to +-1 there; a false negative only leaves a fraction
-    unreduced, which equality handles by cross multiplication.
-    """
-    def ev(p: MultiPoly) -> int:
-        total = Fraction(0)
-        for e, c in p.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                if k:
-                    v = v * _PRESCREEN_POINTS[i % len(_PRESCREEN_POINTS)] ** k
-            total += v
-        return total.numerator
-
-    a, b = ev(f), ev(g)
-    if a == 0 or b == 0:
-        return False
-    return _math_gcd(a, b) == 1
 
 
 def _monomial_gcd_fast(f: MultiPoly, g: MultiPoly) -> Optional[MultiPoly]:
@@ -589,15 +556,11 @@ def _int_clear(p: MultiPoly) -> Dict[Exponents, int]:
     """Scale to integer coefficients (gcd is only defined up to units)."""
     denlcm = 1
     for c in p.terms.values():
-        denlcm = denlcm * c.denominator // _int_gcd(denlcm, c.denominator)
+        denlcm = denlcm * c.denominator // _math_gcd(denlcm, c.denominator)
     out = {}
     for e, c in p.terms.items():
         out[e] = int(c * denlcm)
     return out
-
-
-def _int_gcd(a: int, b: int) -> int:
-    return _math_gcd(a, b)
 
 
 def _gcd_heu_entry(f: MultiPoly, g: MultiPoly) -> Optional[MultiPoly]:
@@ -634,7 +597,7 @@ def _heu_eval(p: Dict[Exponents, int], var: int, xi: int) -> Dict[Exponents, int
 def _heu_content(p: Dict[Exponents, int]) -> int:
     g = 0
     for c in p.values():
-        g = _int_gcd(g, c)
+        g = _math_gcd(g, c)
         if g == 1:
             return 1
     return g or 1
@@ -654,10 +617,11 @@ def _gcd_heu(fz, gz, used, ring, depth=0):
 
     Integer contents are stripped first (Gauss), so evaluation points stay
     small; candidates are verified by exact trial division at every level.
+    A level gives up as soon as the problem evaluated from it does.
     """
     cf = _heu_content(fz)
     cg = _heu_content(gz)
-    cc = _int_gcd(cf, cg)
+    cc = _math_gcd(cf, cg)
     if cf > 1:
         fz = {e: c // cf for e, c in fz.items()}
     if cg > 1:
@@ -689,13 +653,16 @@ def _gcd_heu(fz, gz, used, ring, depth=0):
         ge = _heu_eval(gz, var, xi)
         if fe and ge:
             gamma = _gcd_heu(fe, ge, rest, ring, depth + 1)
-            if gamma is not None and gamma:
-                h = _heu_reconstruct(gamma, var, xi)
-                cont = _heu_content(h)
-                if cont > 1:
-                    h = {e: c // cont for e, c in h.items()}
-                if h and _heu_divides(h, fz, ring) and _heu_divides(h, gz, ring):
-                    return {e: c * cc for e, c in h.items()}
+            if gamma is None:
+                # retrying here after a failure below would multiply the
+                # attempts level by level (6^depth); hand over to PRS
+                return None
+            h = _heu_reconstruct(gamma, var, xi)
+            cont = _heu_content(h)
+            if cont > 1:
+                h = {e: c // cont for e, c in h.items()}
+            if h and _heu_divides(h, fz, ring) and _heu_divides(h, gz, ring):
+                return {e: c * cc for e, c in h.items()}
         xi = xi * 73794 // 27011 + 7
     return None
 
@@ -964,13 +931,17 @@ class RatFunc:
         return "RatFunc(%s)" % str(self)
 
 
+_HASH_POINTS = (10007, 10501, 11003, 11513, 12007, 12511, 13001, 13513,
+                14009, 14503, 15013, 15511)
+
+
 def _hash_eval(p: MultiPoly) -> Fraction:
     total = Fraction(0)
     for e, c in p.terms.items():
         v = c
         for i, k in enumerate(e):
             if k:
-                v = v * _PRESCREEN_POINTS[i % len(_PRESCREEN_POINTS)] ** k
+                v = v * _HASH_POINTS[i % len(_HASH_POINTS)] ** k
         total += v
     return total
 

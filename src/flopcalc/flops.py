@@ -215,18 +215,14 @@ def _express_in_span(targets, columns, params) -> List[Optional[Dict]]:
         rows[r], rows[pv] = rows[pv], rows[r]
         piv = rows[r][j]
         for i in range(r + 1, len(rows)):
-            if rows[i][j].is_zero():
-                # still must rescale for Bareiss consistency
-                updated = []
-                for k in range(j, width):
-                    val = rows[i][k] * piv
-                    updated.append(divexact(val, prev) if not prev.is_one() else val)
-                rows[i][j:] = updated
-                continue
+            # a row with a zero entry in column j is still rescaled, for
+            # Bareiss consistency
             fij = rows[i][j]
             updated = []
             for k in range(j, width):
-                val = rows[i][k] * piv - fij * rows[r][k]
+                val = rows[i][k] * piv
+                if not fij.is_zero():
+                    val = val - fij * rows[r][k]
                 updated.append(divexact(val, prev) if not prev.is_one() else val)
             rows[i][j:] = updated
         pivot_row_of_col[j] = r

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from flopcalc import coeff
 from flopcalc.coeff import (
     CoeffError,
     DivisionByZeroError,
@@ -164,6 +165,65 @@ def test_gcd_and_divexact():
         assert divexact(a * g, d) * d == a * g
         assert divexact(b * g, d) * d == b * g
         assert divexact(d, poly_gcd(d, g)) is not None
+
+
+def test_gcd_finds_a_factor_that_is_one_at_the_hash_point():
+    # a - 10006 is 1 at a = 10007, so evaluating there alone cannot see it
+    ring = ParamRing(["a"])
+    a = ring.var("a")
+    one = ring.one()
+    f = (a - 10006 * one) * (a + one)
+    g = (a - 10006 * one) * (a + 2 * one)
+    assert poly_gcd(f, g) == a - 10006 * one
+    assert str(RatFunc(f, g)) == "(a + 1)/(a + 2)"
+
+
+def test_gcdheu_gives_up_when_an_evaluated_problem_does(monkeypatch):
+    # GCDHEU gives up on a problem evaluated from this pair; retrying every
+    # level after that multiplies the attempts over seven variables
+    ring = ParamRing(["t", "u", "v", "w", "x", "y", "z"])
+    p = parse_poly("5*t^2*u^2*v^2*w*y + 3*t*u*x^2*z^2 + w*x^2*y", ring)
+    q = parse_poly("5*t^2*u^2*v^2*w*y^2 + 3*t*u*x^2*z^2 + w*x^2*y", ring)
+    w2 = ring.var("w") ** 2
+    heuristic = coeff._gcd_heu
+    calls = []
+
+    def capped_heuristic(*args, **kwargs):
+        calls.append(None)
+        assert len(calls) <= 100, "GCDHEU keeps retrying after giving up"
+        return heuristic(*args, **kwargs)
+
+    monkeypatch.setattr(coeff, "_gcd_heu", capped_heuristic)
+    assert poly_gcd(w2 * p * q, w2 * q * q) == w2 * q * Fraction(1, 5)
+
+
+PRS_CASES = [
+    ("t", "(t - 3)*(t + 1)", "(t - 3)*(2*t^2 + 5)"),
+    ("t", "(t^2 + t + 1)^2", "(t^2 + t + 1)*(t - 1)"),
+    ("t, u", "(t*u - 2)*(t + u)", "(t*u - 2)*(u^2 - 3*t)"),
+    ("t, u", "(t + u)^2*(t - 1/2)", "(t + u)*(u + 7)"),
+    ("t, u, v", "(t*v + u - 1)*(v + 2)", "(t*v + u - 1)*(t*u - v)"),
+    ("t, u, v", "(t + u + v)*(t*u*v + 1)", "(t*u*v + 1)*(t - u)^2"),
+]
+
+
+@pytest.mark.parametrize("names, f_text, g_text", PRS_CASES)
+def test_prs_fallback_agrees_with_gcdheu(monkeypatch, names, f_text, g_text):
+    ring = ParamRing([n.strip() for n in names.split(",")])
+    f, g = parse_poly(f_text, ring), parse_poly(g_text, ring)
+    heuristic = poly_gcd(f, g)
+    assert not heuristic.is_constant()
+    prs_calls = []
+    prs = coeff._gcd_rec
+
+    def counted_prs(*args):
+        prs_calls.append(args)
+        return prs(*args)
+
+    monkeypatch.setattr(coeff, "_gcd_heu_entry", lambda f, g: None)
+    monkeypatch.setattr(coeff, "_gcd_rec", counted_prs)
+    assert poly_gcd(f, g) == heuristic
+    assert prs_calls
 
 
 def test_ratfunc_normalization():
