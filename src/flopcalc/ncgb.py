@@ -20,6 +20,10 @@ Every reduction rewrites the largest reducible word first.  The pending
 words wait in a max-heap, so each word's order key is computed once per
 reduction rather than once per rewrite step.
 
+`complete_groebner` climbs a ladder of truncation degrees on one
+completion, raising its degree and continuing, so no rung repeats the
+reductions of the rung below.
+
 Normal forms are unique for inputs whose degree stays within the
 truncation bound; `reduce_element` is the same rewriting loop without the
 degree guard (sound for ideal membership at any degree, canonical only
@@ -434,47 +438,78 @@ def _make_rule(terms: PolyTerms, order: MonomialOrder) -> Rule:
     return Rule(lead, lc, rest)
 
 
-def truncated_groebner(
-    algebra: AlgebraPresentation,
-    order: Optional[MonomialOrder] = None,
-    max_degree: Optional[int] = None,
-    budget: Optional[Budget] = None,
-) -> GroebnerBasis:
-    """Overlap completion truncated at `max_degree` (word degree).
+class _Completion:
+    """One overlap completion whose truncation degree can only rise.
 
-    Deterministic for fixed inputs.  Raises BudgetExceededError (carrying
-    the partial basis in `.partial`) when the step cap is hit.
+    Holds the whole state of a run: the rule index, the pending elements,
+    the overlap signatures already seen, the queue of overlaps at or below
+    the current truncation degree and the overlaps skipped above it, each
+    kept with its full queue entry.  `run(d)` raises the truncation to d,
+    queues the skipped overlaps that now fit and completes; a later
+    `run(d')` continues from there instead of starting again.
+
+    The truncation ladder keeps three things of a from-scratch run at its
+    degree: the overlap pick order `(deg, key, sig)` over active rules, the
+    tail interreduction after every insertion, and the completeness rule:
+    a basis is complete only when no overlap of any rule, active or
+    retired, remains skipped.  A complete basis is the unique reduced
+    basis of its ideal, so it equals the from-scratch one rule for rule.
     """
-    if order is None:
-        order = algebra.order()
-    if max_degree is None:
-        max_degree = algebra.gb_degree
-    if max_degree is None:
-        raise PathAlgebraError("max_degree required (no default recorded on presentation)")
-    budget = budget or Budget()
-    quiver, params = algebra.quiver, algebra.params
-    key = order.key
-    arrow_degree = tuple(a.degree for a in quiver.arrows)
 
-    max_rel_degree = max((r.degree() for r in algebra.relations if not r.is_zero()), default=0)
-    if max_degree < max_rel_degree:
-        raise PathAlgebraError(
-            "max_degree %d is below the maximum relation degree %d" % (max_degree, max_rel_degree)
-        )
+    def __init__(self, algebra: AlgebraPresentation, order: MonomialOrder, budget: Budget):
+        self.algebra = algebra
+        self.order = order
+        self.budget = budget
+        self.quiver = algebra.quiver
+        self.max_rel_degree = max(
+            (r.degree() for r in algebra.relations if not r.is_zero()), default=0)
+        self.index = _RuleIndex(algebra.quiver)
+        self.pending: List[PolyTerms] = [
+            _clear_denominators(r)[0] for r in algebra.relations if not r.is_zero()
+        ]
+        self.seen_overlaps: Set[Tuple] = set()
+        self.overlap_queue: List[Tuple] = []
+        self.skipped: List[Tuple] = []
+        self.max_degree = 0
 
-    index = _RuleIndex(quiver)
-    pending: List[PolyTerms] = [
-        _clear_denominators(r)[0] for r in algebra.relations if not r.is_zero()
-    ]
-    seen_overlaps: Set[Tuple] = set()
-    overlap_queue: List[Tuple] = []
-    skipped_above = [False]
+    def basis(self, complete: bool) -> GroebnerBasis:
+        """The current rules as a basis at the current truncation degree.
 
-    def queue_overlaps(rule: Rule):
+        Tail reduction mutates rules in place, so the basis gets copies
+        and does not change when the completion continues.
+        """
+        rules = sorted(self.index.rules, key=lambda r: self.order.key(r.lead))
+        return GroebnerBasis(self.algebra, self.order,
+                             [Rule(r.lead, r.lc, r.rest) for r in rules],
+                             self.max_degree, complete)
+
+    def run(self, max_degree: int) -> GroebnerBasis:
+        """Complete up to `max_degree`, continuing from the previous run."""
+        if max_degree < self.max_rel_degree:
+            raise PathAlgebraError(
+                "max_degree %d is below the maximum relation degree %d"
+                % (max_degree, self.max_rel_degree))
+        self.max_degree = max_degree
+        still_above = []
+        for entry in self.skipped:
+            (self.overlap_queue if entry[0] <= max_degree else still_above).append(entry)
+        self.skipped = still_above
+        try:
+            self._complete()
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(
+                "%s; stopped at truncation degree %d with %d rules"
+                % (exc, max_degree, len(self.index.rules)),
+                partial=self.basis(False)) from None
+        return self.basis(not self.skipped)
+
+    def _queue_overlaps(self, rule: Rule):
         l1 = rule.lead.arrows
         if not l1:
             return
-        for other in index.rules:
+        quiver, key = self.quiver, self.order.key
+        seen = self.seen_overlaps
+        for other in self.index.rules:
             l2 = other.lead.arrows
             if not l2:
                 continue
@@ -484,21 +519,22 @@ def truncated_groebner(
                     if a1[len(a1) - k:] != a2[:k]:
                         continue
                     sig = (a1, a2, k)
-                    if sig in seen_overlaps:
+                    if sig in seen:
                         continue
-                    seen_overlaps.add(sig)
+                    seen.add(sig)
                     word = a1 + a2[k:]
-                    deg = sum(arrow_degree[i] for i in word)
-                    if deg > max_degree:
-                        skipped_above[0] = True
-                        continue
                     src = quiver.arrows[word[0]].source
-                    wkey = key(Path(quiver, src, word, _check=False))
-                    overlap_queue.append((deg, wkey, sig, first, second, k))
+                    path = Path(quiver, src, word, _check=False)
+                    entry = (path.degree, key(path), sig, first, second, k)
+                    if path.degree > self.max_degree:
+                        self.skipped.append(entry)
+                    else:
+                        self.overlap_queue.append(entry)
                 if first is second:
                     break
 
-    def insert(terms: PolyTerms):
+    def _insert(self, terms: PolyTerms):
+        index, quiver, order, budget = self.index, self.quiver, self.order, self.budget
         rule = _make_rule(terms, order)
         la = rule.lead.arrows
         retired = []
@@ -515,7 +551,7 @@ def truncated_groebner(
                     retired.append(r)
         for r in retired:
             index.remove(r)
-            pending.append(r.poly_element())
+            self.pending.append(r.poly_element())
         index.add(rule)
         # keep every tail fully reduced against the updated system
         for r in index.rules:
@@ -534,11 +570,13 @@ def truncated_groebner(
                 fresh = _make_rule(prim, order)
                 r.lc = fresh.lc
                 r.rest = fresh.rest
-        queue_overlaps(rule)
+        self._queue_overlaps(rule)
 
-    active = lambda r: (r in index.rules)
-
-    try:
+    def _complete(self):
+        index, quiver, order, budget = self.index, self.quiver, self.order, self.budget
+        key = order.key
+        pending, overlap_queue = self.pending, self.overlap_queue
+        active = lambda r: (r in index.rules)
         while True:
             if pending:
                 normalized = []
@@ -550,9 +588,8 @@ def truncated_groebner(
                 if not normalized:
                     continue
                 normalized.sort(key=lambda t: key(max(t, key=key)))
-                chosen = normalized[0]
                 pending.extend(normalized[1:])
-                insert(chosen)
+                self._insert(normalized[0])
                 continue
             best_i = -1
             for i, entry in enumerate(overlap_queue):
@@ -561,7 +598,7 @@ def truncated_groebner(
                 if best_i < 0 or entry[:3] < overlap_queue[best_i][:3]:
                     best_i = i
             if best_i < 0:
-                break
+                return
             _, _, _, r1, r2, k = overlap_queue.pop(best_i)
             l1, l2 = r1.lead.arrows, r2.lead.arrows
             src = quiver.arrows[l1[0]].source
@@ -591,12 +628,26 @@ def truncated_groebner(
             reduced, _ = _reduce_poly_terms(terms, index, quiver, order, budget)
             if reduced:
                 pending.append(reduced)
-    except BudgetExceededError as exc:
-        exc.partial = GroebnerBasis(algebra, order, list(index.rules), max_degree, False)
-        raise
 
-    rules = sorted(index.rules, key=lambda r: key(r.lead))
-    return GroebnerBasis(algebra, order, rules, max_degree, complete=not skipped_above[0])
+
+def truncated_groebner(
+    algebra: AlgebraPresentation,
+    order: Optional[MonomialOrder] = None,
+    max_degree: Optional[int] = None,
+    budget: Optional[Budget] = None,
+) -> GroebnerBasis:
+    """Overlap completion truncated at `max_degree` (word degree).
+
+    Deterministic for fixed inputs.  Raises BudgetExceededError (carrying
+    the partial basis in `.partial`) when the step cap is hit.
+    """
+    if order is None:
+        order = algebra.order()
+    if max_degree is None:
+        max_degree = algebra.gb_degree
+    if max_degree is None:
+        raise PathAlgebraError("max_degree required (no default recorded on presentation)")
+    return _Completion(algebra, order, budget or Budget()).run(max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -692,21 +743,35 @@ def complete_groebner(
     ladder of truncation degrees.
 
     Starts at `start_degree`, by default twice the largest relation degree
-    and at least 4, and raises the degree by max(2, d // 2) each time.
+    and at least 4, and raises the degree by max(2, d // 2) each time.  All
+    rungs share one completion: each raises its truncation degree and
+    resolves only the overlaps the previous rungs skipped or created, so no
+    reduction is repeated.  The complete basis equals a from-scratch
+    `truncated_groebner` at its degree, rule for rule.
+
     Raises BudgetExceededError when no degree up to `max_truncation` gives
-    a complete basis.
+    a complete basis; `.partial` is then the last incomplete basis.  When
+    the step budget runs out on a rung, `.partial` is the basis at that
+    rung's degree.
     """
-    budget = budget or Budget()
     if order is None:
         order = algebra.order()
-    rel_deg = max((r.degree() for r in algebra.relations if not r.is_zero()), default=1)
-    d = start_degree or max(2 * rel_deg, 4)
+    completion = _Completion(algebra, order, budget or Budget())
+    d = start_degree or max(2 * completion.max_rel_degree, 4)
+    gb = None
     while d <= max_truncation:
-        gb = truncated_groebner(algebra, order, d, budget)
+        gb = completion.run(d)
         if gb.complete:
             return gb
         d = d + max(2, d // 2)
-    raise BudgetExceededError("no complete basis below truncation degree %d" % max_truncation)
+    if gb is None:
+        raise BudgetExceededError(
+            "no complete basis: the start degree %d exceeds max_truncation %d"
+            % (d, max_truncation))
+    raise BudgetExceededError(
+        "no complete basis up to truncation degree %d: the basis at degree %d, "
+        "the highest tried, has %d rules and skips overlaps above it"
+        % (max_truncation, gb.truncation_degree, len(gb.rules)), partial=gb)
 
 
 def dimension(

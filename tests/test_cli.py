@@ -73,6 +73,13 @@ def test_budget_exit_code():
     assert code == EXIT_BUDGET
 
 
+def test_contraction_budget_names_the_truncation_degree(capsys):
+    code, _ = invoke(["contraction", "--builtin", "length-4-nccr", "--length", "4",
+                      "--budget", "2000"])
+    assert code == EXIT_BUDGET
+    assert "truncation degree 8" in capsys.readouterr().err
+
+
 def test_budget_zero_is_not_the_default():
     code, _ = invoke(["nf", "--builtin", "length-2", "--element", "a*A",
                       "--degree", "6", "--budget", "0"])

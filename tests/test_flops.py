@@ -11,6 +11,7 @@ from flopcalc.catalog import (
     preprojective,
     universal_flopping_algebra,
 )
+from flopcalc import flops
 from flopcalc.coeff import MultiPoly, ParamRing, RatFunc, divexact, parse_poly
 from flopcalc.flops import (
     PipelineError,
@@ -346,6 +347,63 @@ def test_verify_superpotential_shipped_length_4_5_6():
         b = builtins()[name]
         report = verify_superpotential(b.presentation(), b.superpotential_element())
         assert report.ok, (name, report.failures())
+
+
+@pytest.fixture
+def completions(monkeypatch):
+    """Names of the presentations that verify_superpotential completes."""
+    names = []
+    real = flops.truncated_groebner
+
+    def spy(alg, *args, **kwargs):
+        names.append(alg.name)
+        return real(alg, *args, **kwargs)
+
+    monkeypatch.setattr(flops, "truncated_groebner", spy)
+    return names
+
+
+@pytest.mark.parametrize("name", ["laufer-nccr", "length-4-nccr", "length-5-nccr",
+                                  "length-6-nccr"])
+def test_relations_equal_to_derivatives_skip_the_derivative_ideal(completions, name):
+    b = builtins()[name]
+    report = verify_superpotential(b.presentation(), b.superpotential_element())
+    assert report.ok
+    assert completions == [name]
+
+
+def test_length3_literal_still_completes_the_derivative_ideal(completions):
+    b = builtins()["length-3-nccr"]
+    report = verify_superpotential(b.presentation(), b.superpotential_element())
+    assert completions == ["length-3-nccr", "length-3-nccr-potential"]
+    wrong = "5*A*a - b*b - b*c - c*b - c*c"
+    scaled = "5/4*A*a - 1/4*b*b - 1/4*b*c - 1/4*c*b - 1/4*c*c"
+    assert report.failures() == [
+        ("NF(d_b phi) = 0", wrong), ("NF(d_c phi) = 0", wrong),
+        ("relation 2 in <d phi>", scaled), ("relation 3 in <d phi>", scaled)]
+
+
+def _laufer_with_relation_3(text):
+    b = builtins()["laufer-nccr"]
+    pres = b.presentation()
+    relations = list(pres.relations)
+    relations[3] = pres.element(text)
+    return pres.with_relations(relations, name="planted"), b.superpotential_element()
+
+
+def test_a_sum_of_two_derivatives_goes_through_the_fallback(completions):
+    # d_b phi + d_c phi up to sign: in <d phi>, but a multiple of neither
+    pres, phi = _laufer_with_relation_3("c*b + b*c + A*a*c + c*A*a - c*c*c + b*b")
+    report = verify_superpotential(pres, phi)
+    assert report.ok
+    assert completions == ["planted", "planted-potential"]
+
+
+def test_a_scaled_relation_takes_the_shortcut(completions):
+    pres, phi = _laufer_with_relation_3("3*c*b + 3*b*c")
+    report = verify_superpotential(pres, phi)
+    assert report.ok
+    assert completions == ["planted"]
 
 
 def test_verify_superpotential_zero_on_free():
