@@ -402,13 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("contraction", help="contraction algebra report")
     common(sp, presentation=True)
     sp.add_argument("--vertex", default=None)
-    sp.add_argument("--length", type=int, default=None)
+    sp.add_argument("--length", type=int, choices=range(1, 7), default=None)
     sp.set_defaults(func=cmd_contraction)
 
     sp = sub.add_parser("gv", help="enumerate Gopakumar-Vafa tuples")
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--dim-ab", dest="dim_ab", type=int, required=True)
-    sp.add_argument("--length", type=int, default=None)
+    sp.add_argument("--length", type=int, choices=range(1, 7), default=None)
     sp.set_defaults(func=cmd_gv)
 
     sp = sub.add_parser("invariants", help="Weyl-invariance report for a catalog length")

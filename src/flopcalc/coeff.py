@@ -3,9 +3,18 @@
 This is the coefficient kernel for every path algebra in the package: all
 central parameters (t, T0b, T0c, ... as well as adjoined commuting
 generators like y and z) live in a ParamRing, polynomials in those
-parameters are MultiPoly values with arbitrary-precision rational
-coefficients, and RatFunc is the fraction field used to keep rewriting
-rules monic.
+parameters are MultiPoly values with exact rational coefficients, and
+RatFunc is the fraction field used to keep rewriting rules monic.
+
+A MultiPoly is stored as integer numerators over one common denominator
+(the packed monomials and integer coefficients of Monagan and Pearce,
+CASC '07 and ISSAC '09).  Each monomial is one integer key: the total
+degree sits in the top 64-bit field and the exponents, in ParamRing order,
+in the 64-bit fields below it, so comparing keys as integers is graded-lex
+order, a monomial product is one integer addition and the leading monomial
+is the largest key.  A total degree must stay below 2^64; a product or
+literal beyond that raises CoeffError.  `Fraction` appears only at the
+boundary: the parser, the constructor and the read-only `terms` view.
 
 Everything here is immutable and exact; there is no floating point.
 """
@@ -13,13 +22,14 @@ Everything here is immutable and exact; there is no floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _math_gcd
+from heapq import heapify, heappop, heappush
+from math import gcd as _math_gcd, lcm as _math_lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Exponents = Tuple[int, ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_FIELD = 64
+_MASK = (1 << _FIELD) - 1
 
 
 class CoeffError(ValueError):
@@ -37,7 +47,8 @@ class ParamRing:
     never influences arithmetic, just degree accounting in callers.
     """
 
-    __slots__ = ("names", "grading", "_index")
+    __slots__ = ("names", "grading", "_index", "_shifts", "_deg_shift", "_key_limit",
+                 "_zero", "_one")
 
     def __init__(self, names: Sequence[str], grading: Optional[Mapping[str, int]] = None):
         names = tuple(names)
@@ -53,6 +64,14 @@ class ParamRing:
             raise CoeffError("grading for undeclared parameters: %r" % sorted(unknown))
         self.grading = tuple(int(grading.get(n, 2)) for n in names)
         self._index = {n: i for i, n in enumerate(names)}
+        width = len(names)
+        # exponent i sits in field width-1-i, the total degree above them all
+        self._shifts = tuple(_FIELD * (width - 1 - i) for i in range(width))
+        self._deg_shift = _FIELD * width
+        # every key of a total degree below 2^64 is below this
+        self._key_limit = 1 << (_FIELD * (width + 1))
+        self._zero = _reduced(self, {}, 1)
+        self._one = _reduced(self, {0: 1}, 1)
 
     def __eq__(self, other):
         return isinstance(other, ParamRing) and self.names == other.names
@@ -69,23 +88,36 @@ class ParamRing:
         except KeyError:
             raise CoeffError("undeclared parameter %r (declared: %s)" % (name, ", ".join(self.names) or "none"))
 
+    def _pack(self, exp: Exponents) -> int:
+        deg = sum(exp)
+        if deg > _MASK:
+            raise CoeffError("total degree %d exceeds the limit 2^64 - 1" % deg)
+        key = deg << self._deg_shift
+        for e, s in zip(exp, self._shifts):
+            key |= e << s
+        return key
+
+    def _unpack(self, key: int) -> Exponents:
+        return tuple([(key >> s) & _MASK for s in self._shifts])
+
     def zero(self) -> "MultiPoly":
-        return MultiPoly(self, {})
+        return self._zero
 
     def one(self) -> "MultiPoly":
-        return self.const(1)
+        return self._one
 
     def const(self, c) -> "MultiPoly":
-        c = Fraction(c)
-        if c == 0:
-            return MultiPoly(self, {})
-        return MultiPoly(self, {(0,) * len(self.names): c})
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        if not c:
+            return self._zero
+        return _reduced(self, {0: c.numerator}, c.denominator)
 
     def var(self, name: str) -> "MultiPoly":
         i = self.index(name)
         exp = [0] * len(self.names)
         exp[i] = 1
-        return MultiPoly(self, {tuple(exp): _ONE})
+        return _reduced(self, {self._pack(exp): 1}, 1)
 
     def extend(self, extra: Sequence[str], grading: Optional[Mapping[str, int]] = None) -> "ParamRing":
         """Ring with additional parameters appended after the current ones."""
@@ -95,23 +127,34 @@ class ParamRing:
 
 
 def _grlex_key(exp: Exponents):
-    # graded lex; comparing keys with > picks the canonical leading term
+    # graded lex, the order that packed monomial keys compare in as integers
     return (sum(exp), exp)
 
 
 class MultiPoly:
     """A polynomial over Q in the parameters of a ParamRing.
 
-    terms maps exponent tuples to nonzero Fractions; zero coefficients are
-    never stored, so equality is plain dict equality.
+    The value is num/den: num maps packed monomial keys (see the module
+    docstring) to nonzero ints, and den is a positive int coprime to the
+    gcd of num's values.  The form is canonical, so equality and hashing
+    are structural.  `terms` is the read-only {exponent tuple: Fraction}
+    view of the same polynomial, built on each access.
     """
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "num", "den", "_hash")
 
-    def __init__(self, ring: ParamRing, terms: Dict[Exponents, Fraction]):
+    def __init__(self, ring: ParamRing, terms: Mapping[Exponents, Fraction]):
+        den = _math_lcm(*[c.denominator for c in terms.values()])
+        pack = ring._pack
         self.ring = ring
-        self.terms = terms
-        self._hash = None
+        self.num = {pack(e): c.numerator * (den // c.denominator)
+                    for e, c in terms.items() if c}
+        self.den = den if self.num else 1
+
+    @property
+    def terms(self) -> Dict[Exponents, Fraction]:
+        unpack, den = self.ring._unpack, self.den
+        return {unpack(k): Fraction(c, den) for k, c in self.num.items()}
 
     # -- constructors ----------------------------------------------------
 
@@ -126,100 +169,137 @@ class MultiPoly:
     def cast(self, ring: ParamRing) -> "MultiPoly":
         """Re-express in another ring containing all used parameters."""
         pos = [ring.index(n) if n in ring._index else -1 for n in self.ring.names]
-        terms: Dict[Exponents, Fraction] = {}
+        unpack = self.ring._unpack
+        num: Dict[int, int] = {}
         width = len(ring.names)
-        for exp, c in self.terms.items():
+        for k, c in self.num.items():
             new = [0] * width
-            for i, e in enumerate(exp):
+            for i, e in enumerate(unpack(k)):
                 if e:
                     if pos[i] < 0:
                         raise CoeffError("parameter %r missing from target ring" % self.ring.names[i])
                     new[pos[i]] = e
-            terms[tuple(new)] = c
-        return MultiPoly(ring, terms)
+            num[ring._pack(new)] = c
+        return _reduced(ring, num, self.den)
 
     # -- predicates & accessors ------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and next(iter(self.terms.items())) == ((0,) * len(self.ring.names), _ONE)
+        return self.den == 1 and len(self.num) == 1 and self.num.get(0) == 1
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        # the constant monomial is key 0, the smallest key
+        return not self.num or (len(self.num) == 1 and 0 in self.num)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
-            return _ZERO
         if not self.is_constant():
             raise CoeffError("not a constant: %s" % self)
-        return next(iter(self.terms.values()))
+        return Fraction(self.num.get(0, 0), self.den)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.num) >> self.ring._deg_shift
 
     def graded_degree(self) -> int:
         """Degree under the ring's parameter grading (default 2 each)."""
-        if not self.terms:
+        if not self.num:
             return -1
-        g = self.ring.grading
-        return max(sum(k * w for k, w in zip(e, g)) for e in self.terms)
+        g, unpack = self.ring.grading, self.ring._unpack
+        return max(sum(k * w for k, w in zip(unpack(e), g)) for e in self.num)
 
     def lead(self) -> Tuple[Exponents, Fraction]:
         """Leading (exponent, coefficient) under graded lex."""
-        if not self.terms:
+        if not self.num:
             raise CoeffError("zero polynomial has no leading term")
-        exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
+        key = max(self.num)
+        return self.ring._unpack(key), Fraction(self.num[key], self.den)
+
+    def lead_ratio(self) -> Tuple[int, int]:
+        """Leading coefficient as ints (n, d), d > 0, without a Fraction;
+        `self.scale(d, n)` divides by it."""
+        if not self.num:
+            raise CoeffError("zero polynomial has no leading term")
+        return self.num[max(self.num)], self.den
 
     def degree_in(self, name: str) -> int:
-        i = self.ring.index(name)
-        if not self.terms:
+        s = self.ring._shifts[self.ring.index(name)]
+        if not self.num:
             return -1
-        return max(e[i] for e in self.terms)
+        return max((k >> s) & _MASK for k in self.num)
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other):
-        other = MultiPoly.coerce(self.ring, other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, _ZERO) + c
+    def scale(self, n: int, d: int = 1) -> "MultiPoly":
+        """self * n/d for integers n and d != 0."""
+        if not n or not self.num:
+            return self.ring._zero
+        if d < 0:
+            n, d = -n, -d
+        return _reduced(self.ring, {k: c * n for k, c in self.num.items()}, self.den * d)
+
+    def _add(self, other, sign: int) -> "MultiPoly":
+        if other.__class__ is not MultiPoly or other.ring is not self.ring:
+            other = MultiPoly.coerce(self.ring, other)
+        b = other.num
+        if not b:
+            return self
+        a, da, db = self.num, self.den, other.den
+        if da == db:
+            den = da
+            out = dict(a)
+        else:
+            g = _math_gcd(da, db)
+            den = da * (db // g)
+            out = {k: c * (db // g) for k, c in a.items()}
+            sign *= da // g
+        get = out.get
+        for k, c in b.items():
+            s = get(k, 0) + sign * c
             if s:
-                terms[e] = s
+                out[k] = s
             else:
-                terms.pop(e, None)
-        return MultiPoly(self.ring, terms)
+                del out[k]
+        return _reduced(self.ring, out, den)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return _reduced(self.ring, {k: -c for k, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        return self + (-MultiPoly.coerce(self.ring, other))
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return MultiPoly.coerce(self.ring, other) - self
 
     def __mul__(self, other):
-        other = MultiPoly.coerce(self.ring, other)
-        a, b = self.terms, other.terms
+        if other.__class__ is not MultiPoly or other.ring is not self.ring:
+            other = MultiPoly.coerce(self.ring, other)
+        ring = self.ring
+        a, b = self.num, other.num
         if len(a) > len(b):
             a, b = b, a
-        out: Dict[Exponents, Fraction] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, _ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return MultiPoly(self.ring, out)
+        if not a:
+            return ring._zero
+        # the largest key of the product is the sum of the largest keys
+        if max(a) + max(b) >= ring._key_limit:
+            raise CoeffError("total degree of a product exceeds the limit 2^64 - 1")
+        out = {}
+        get = out.get
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        return _reduced(ring, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -237,15 +317,17 @@ class MultiPoly:
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
-            return self.ring == other.ring and self.terms == other.terms
+            return self.ring == other.ring and self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
             return self == self.ring.const(other)
         return NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self.terms.items())))
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.ring, self.den, frozenset(self.num.items())))
+            return self._hash
 
     # -- substitution ------------------------------------------------------
 
@@ -266,9 +348,10 @@ class MultiPoly:
             else:
                 images.append(ring.var(n))
         out = ring.zero()
-        for exp, c in sorted(self.terms.items()):
-            term = ring.const(c)
-            for i, e in enumerate(exp):
+        unpack = self.ring._unpack
+        for k in sorted(self.num):
+            term = _reduced(ring, {0: self.num[k]}, self.den)
+            for i, e in enumerate(unpack(k)):
                 if e:
                     term = term * images[i] ** e
             out = out + term
@@ -283,6 +366,23 @@ class MultiPoly:
         return "MultiPoly(%s)" % format_poly(self)
 
 
+_new = object.__new__
+
+
+def _reduced(ring: ParamRing, num: Dict[int, int], den: int) -> MultiPoly:
+    """num/den for den > 0, with the common factor of den and num removed."""
+    if den != 1:
+        g = _math_gcd(den, *num.values())
+        if g != 1:
+            num = {k: c // g for k, c in num.items()}
+            den //= g
+    p = _new(MultiPoly)
+    p.ring = ring
+    p.num = num
+    p.den = den
+    return p
+
+
 def _fmt_coeff(c: Fraction) -> str:
     if c.denominator == 1:
         return str(c.numerator)
@@ -291,12 +391,13 @@ def _fmt_coeff(c: Fraction) -> str:
 
 def format_poly(p: MultiPoly) -> str:
     """Canonical text form; graded-lex descending, `+ - * ^` syntax."""
-    if not p.terms:
+    if not p.num:
         return "0"
-    names = p.ring.names
+    names, unpack = p.ring.names, p.ring._unpack
     parts: List[str] = []
-    for exp in sorted(p.terms, key=_grlex_key, reverse=True):
-        c = p.terms[exp]
+    for key in sorted(p.num, reverse=True):
+        c = Fraction(p.num[key], p.den)
+        exp = unpack(key)
         factors = []
         for n, e in zip(names, exp):
             if e == 1:
@@ -343,7 +444,10 @@ def tokenize_poly(text: str) -> List[_Tok]:
                 k = j + 1
                 while k < n and text[k].isdigit():
                     k += 1
-                toks.append(_Tok("num", Fraction(int(text[i:j]), int(text[j + 1:k])), i))
+                den = int(text[j + 1:k])
+                if not den:
+                    raise CoeffError("zero denominator at position %d" % (j + 1))
+                toks.append(_Tok("num", Fraction(int(text[i:j]), den), i))
                 i = k
             else:
                 toks.append(_Tok("num", Fraction(int(text[i:j])), i))
@@ -445,64 +549,90 @@ def parse_poly(text: str, ring: ParamRing) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 def _vars_used(p: MultiPoly) -> List[int]:
-    used = set()
-    for e in p.terms:
-        for i, k in enumerate(e):
-            if k:
-                used.add(i)
-    return sorted(used)
+    unpack = p.ring._unpack
+    return sorted({i for k in p.num for i, e in enumerate(unpack(k)) if e})
 
 
 def _as_univariate(p: MultiPoly, var: int) -> Dict[int, MultiPoly]:
     """View p as a polynomial in variable `var` with MultiPoly coefficients."""
-    out: Dict[int, Dict[Exponents, Fraction]] = {}
-    for e, c in p.terms.items():
-        d = e[var]
-        rest = e[:var] + (0,) + e[var + 1:]
-        out.setdefault(d, {})[rest] = c
-    return {d: MultiPoly(p.ring, t) for d, t in out.items()}
+    s, top = p.ring._shifts[var], p.ring._deg_shift
+    out: Dict[int, Dict[int, int]] = {}
+    for k, c in p.num.items():
+        d = (k >> s) & _MASK
+        out.setdefault(d, {})[k - (d << s) - (d << top)] = c
+    return {d: _reduced(p.ring, t, p.den) for d, t in out.items()}
 
 
 def _from_univariate(ring: ParamRing, var: int, coeffs: Dict[int, MultiPoly]) -> MultiPoly:
-    terms: Dict[Exponents, Fraction] = {}
+    s, top = ring._shifts[var], ring._deg_shift
+    den = _math_lcm(*[poly.den for poly in coeffs.values()])
+    num: Dict[int, int] = {}
     for d, poly in coeffs.items():
-        for e, c in poly.terms.items():
-            e2 = e[:var] + (d,) + e[var + 1:]
-            terms[e2] = c
-    return MultiPoly(ring, terms)
+        m = den // poly.den
+        for k, c in poly.num.items():
+            num[k + (d << s) + (d << top)] = c * m
+    return _reduced(ring, num, den)
 
 
 def divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Exact division f / g; raises if g does not divide f."""
+    """Exact division f / g; raises if g does not divide f.
+
+    g is made primitive first: by Gauss's lemma a primitive divisor of f
+    leaves an integer quotient of f's numerators, so the division runs on
+    integers and every quotient coefficient must divide exactly.  The
+    remainder's monomials wait in a max-heap, so each step finds its leading
+    term without a scan.
+    """
     if g.is_zero():
         raise DivisionByZeroError("polynomial division by zero")
     if f.is_zero():
         return f
     if g.is_constant():
-        inv = 1 / g.constant_value()
-        return MultiPoly(f.ring, {e: c * inv for e, c in f.terms.items()})
-    ring = f.ring
-    q: Dict[Exponents, Fraction] = {}
-    rem = f
-    ge, gc = g.lead()
-    while not rem.is_zero():
-        re, rc = rem.lead()
-        qe = tuple(a - b for a, b in zip(re, ge))
-        if any(x < 0 for x in qe):
+        n, d = g.lead_ratio()
+        return f.scale(d, n)
+    shifts = f.ring._shifts
+    cont = _math_gcd(*g.num.values())
+    lead = max(g.num)
+    lc = g.num[lead] // cont
+    tail = [(k, c // cont) for k, c in g.num.items() if k != lead]
+    lead_exps = [(s, (lead >> s) & _MASK) for s in shifts]
+    rem = dict(f.num)
+    heap = [-k for k in rem]
+    heapify(heap)
+    q: Dict[int, int] = {}
+    while heap:
+        k = -heappop(heap)
+        c = rem.pop(k, 0)
+        if not c:
+            continue  # cancelled, or a second heap entry of a key already done
+        qc, r = divmod(c, lc)
+        if r or any((k >> s) & _MASK < e for s, e in lead_exps):
             raise CoeffError("inexact polynomial division")
-        qc = rc / gc
-        q[qe] = q.get(qe, _ZERO) + qc
-        rem = rem - MultiPoly(ring, {qe: qc}) * g
-    return MultiPoly(ring, {e: c for e, c in q.items() if c})
+        qk = k - lead
+        q[qk] = qc
+        for tk, tc in tail:
+            kk = qk + tk
+            v = rem.get(kk)
+            if v is None:
+                rem[kk] = -qc * tc
+                heappush(heap, -kk)
+                continue
+            v -= qc * tc
+            if v:
+                rem[kk] = v
+            else:
+                del rem[kk]
+    # f/g = (F/df) / (cont*G'/dg) = (F/G') * dg / (df*cont)
+    if g.den != 1:
+        q = {k: c * g.den for k, c in q.items()}
+    return _reduced(f.ring, q, f.den * cont)
 
 
 def _monic(p: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return p
-    _, c = p.lead()
-    if c == 1:
-        return p
-    return MultiPoly(p.ring, {e: v / c for e, v in p.terms.items()})
+    n, d = p.lead_ratio()
+    return p if n == d else p.scale(d, n)
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -539,28 +669,17 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 def _monomial_gcd_fast(f: MultiPoly, g: MultiPoly) -> Optional[MultiPoly]:
     """Exact gcd when one operand is a single term: the common monomial."""
-    if len(f.terms) != 1 and len(g.terms) != 1:
+    if len(f.num) != 1 and len(g.num) != 1:
         return None
-    width = len(f.ring.names)
-    mins = [None] * width
-    for p in (f, g):
-        for e in p.terms:
-            for i in range(width):
-                v = e[i]
-                if mins[i] is None or v < mins[i]:
-                    mins[i] = v
-    return MultiPoly(f.ring, {tuple(mins): _ONE})
+    ring = f.ring
+    exps = [ring._unpack(k) for p in (f, g) for k in p.num]
+    return MultiPoly(ring, {tuple(map(min, zip(*exps))): 1})
 
 
 def _int_clear(p: MultiPoly) -> Dict[Exponents, int]:
-    """Scale to integer coefficients (gcd is only defined up to units)."""
-    denlcm = 1
-    for c in p.terms.values():
-        denlcm = denlcm * c.denominator // _math_gcd(denlcm, c.denominator)
-    out = {}
-    for e, c in p.terms.items():
-        out[e] = int(c * denlcm)
-    return out
+    """The integer numerators of p (gcd is only defined up to units)."""
+    unpack = p.ring._unpack
+    return {unpack(k): c for k, c in p.num.items()}
 
 
 def _gcd_heu_entry(f: MultiPoly, g: MultiPoly) -> Optional[MultiPoly]:
@@ -571,8 +690,7 @@ def _gcd_heu_entry(f: MultiPoly, g: MultiPoly) -> Optional[MultiPoly]:
     h = _gcd_heu(fz, gz, used, ring)
     if h is None:
         return None
-    poly = MultiPoly(ring, {e: Fraction(c) for e, c in h.items() if c})
-    return _monic(poly)
+    return _monic(MultiPoly(ring, h))
 
 
 def _heu_height(p: Dict[Exponents, int]) -> int:
@@ -605,8 +723,7 @@ def _heu_content(p: Dict[Exponents, int]) -> int:
 
 def _heu_divides(h: Dict[Exponents, int], p: Dict[Exponents, int], ring: ParamRing) -> bool:
     try:
-        divexact(MultiPoly(ring, {e: Fraction(c) for e, c in p.items()}),
-                 MultiPoly(ring, {e: Fraction(c) for e, c in h.items()}))
+        divexact(MultiPoly(ring, p), MultiPoly(ring, h))
         return True
     except (CoeffError, DivisionByZeroError):
         return False
@@ -910,7 +1027,8 @@ class RatFunc:
                 num, den = _normalize_frac(num, den)
                 den_value = _hash_eval(den)
             if den_value:
-                self._hash = hash((self.ring, Fraction(_hash_eval(num), den_value)))
+                value = Fraction(_hash_eval(num) * den.den, den_value * num.den)
+                self._hash = hash((self.ring, value))
             else:
                 self._hash = hash((self.ring, "pole", num, den))
         return self._hash
@@ -935,14 +1053,17 @@ _HASH_POINTS = (10007, 10501, 11003, 11513, 12007, 12511, 13001, 13513,
                 14009, 14503, 15013, 15511)
 
 
-def _hash_eval(p: MultiPoly) -> Fraction:
-    total = Fraction(0)
-    for e, c in p.terms.items():
-        v = c
-        for i, k in enumerate(e):
-            if k:
-                v = v * _HASH_POINTS[i % len(_HASH_POINTS)] ** k
-        total += v
+def _hash_eval(p: MultiPoly) -> int:
+    """p's integer numerators evaluated at the hash point (p times p.den)."""
+    shifts = p.ring._shifts
+    points = [(s, _HASH_POINTS[i % len(_HASH_POINTS)]) for i, s in enumerate(shifts)]
+    total = 0
+    for k, c in p.num.items():
+        for s, x in points:
+            e = (k >> s) & _MASK
+            if e:
+                c *= x ** e
+        total += c
     return total
 
 
@@ -950,18 +1071,18 @@ def _normalize_frac(num: MultiPoly, den: MultiPoly) -> Tuple[MultiPoly, MultiPol
     if num.is_zero():
         return num, den.ring.one()
     if den.is_constant():
-        c = den.constant_value()
-        if c == 1:
+        if den.is_one():
             return num, den
-        return MultiPoly(num.ring, {e: v / c for e, v in num.terms.items()}), den.ring.one()
+        n, d = den.lead_ratio()
+        return num.scale(d, n), den.ring.one()
     g = poly_gcd(num, den)
     if not g.is_one():
         num = divexact(num, g)
         den = divexact(den, g)
-    _, lc = den.lead()
-    if lc != 1:
-        num = MultiPoly(num.ring, {e: v / lc for e, v in num.terms.items()})
-        den = MultiPoly(den.ring, {e: v / lc for e, v in den.terms.items()})
+    n, d = den.lead_ratio()
+    if n != d:
+        num = num.scale(d, n)
+        den = den.scale(d, n)
     return num, den
 
 

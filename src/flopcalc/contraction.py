@@ -259,6 +259,8 @@ def gv_invariants(dim: int, dim_ab: int, length: Optional[int] = None) -> List[T
     """All (n1..n6) with n1 = dim_ab, sum n_i i^2 = dim, and the length cut."""
     if dim < dim_ab or dim_ab < 0:
         raise ContractionError("need dim >= dim_ab >= 0, got (%s, %s)" % (dim, dim_ab))
+    if length is not None and not 1 <= length <= 6:
+        raise ContractionError("length must be 1..6, got %s" % length)
     n1 = dim_ab
     rest = dim - n1
     if rest < 0:

@@ -362,13 +362,10 @@ def _primitive(terms: PolyTerms, order: MonomialOrder) -> PolyTerms:
     cont = _poly_content(terms)
     if cont is not None and not cont.is_one():
         terms = {p: divexact(c, cont) for p, c in terms.items()}
-    lead = max(terms, key=order.key)
-    _, lead_c = terms[lead].lead()
-    if lead_c != 1:
-        inv = 1 / lead_c
+    n, d = terms[max(terms, key=order.key)].lead_ratio()
+    if n != d:
         # keep coefficients polynomial: rational rescale is always exact
-        terms = {p: MultiPoly(c.ring, {e: v * inv for e, v in c.terms.items()})
-                 for p, c in terms.items()}
+        terms = {p: c.scale(d, n) for p, c in terms.items()}
     return terms
 
 
@@ -424,11 +421,11 @@ def _make_rule(terms: PolyTerms, order: MonomialOrder) -> Rule:
     lc = terms[lead]
     rest = {}
     if lc.is_constant():
-        inv = 1 / lc.constant_value()
+        n, d = lc.lead_ratio()
         for p, c in terms.items():
             if p == lead:
                 continue
-            rest[p] = MultiPoly(c.ring, {e: -v * inv for e, v in c.terms.items()})
+            rest[p] = c.scale(-d, n)
         lc = lc.ring.one()
     else:
         for p, c in terms.items():

@@ -35,6 +35,17 @@ class PathAlgebraError(ValueError):
     pass
 
 
+# longest path a power may build: without a cap, "b^99999999999" for a loop
+# b would double its path on every squaring until memory runs out
+MAX_POWER_DEGREE = 1 << 16
+
+
+def _check_power_degree(degree: int) -> None:
+    if degree > MAX_POWER_DEGREE:
+        raise PathAlgebraError("a power of path degree up to %d exceeds the limit %d"
+                               % (degree, MAX_POWER_DEGREE))
+
+
 class ParseError(PathAlgebraError):
     def __init__(self, message, line=None, column=None):
         loc = ""
@@ -338,9 +349,23 @@ class Element:
     def __pow__(self, n: int):
         if n < 0:
             raise PathAlgebraError("negative powers are not defined")
+        # repeated squaring; once a partial power is zero, so is the rest.
+        # Squaring a loop doubles its path length, so a product whose degree
+        # could pass MAX_POWER_DEGREE is refused before it is built.
         out = Element.identity(self.quiver, self.params)
-        for _ in range(n):
-            out = out * self
+        base = self
+        while n:
+            if n & 1:
+                _check_power_degree(out.degree() + base.degree())
+                out = out * base
+                if out.is_zero():
+                    return out
+            n >>= 1
+            if n:
+                _check_power_degree(2 * base.degree())
+                base = base * base
+                if base.is_zero():
+                    return base
         return out
 
     def __eq__(self, other):
@@ -535,10 +560,14 @@ class _ElementParser(_PolyParser):
         base = self.atom()
         while self.peek().kind == "^":
             self.take()
-            e = self.take("num").value
+            t = self.take("num")
+            e = t.value
             if e.denominator != 1 or e < 0:
                 raise ParseError("exponents must be nonnegative integers")
-            base = base ** int(e)
+            try:
+                base = base ** int(e)
+            except PathAlgebraError as exc:
+                raise ParseError(str(exc), column=t.pos)
         return base
 
     def term(self):

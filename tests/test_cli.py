@@ -56,6 +56,15 @@ def test_gv_command():
     assert "(6, 3, 1, 0, 0, 0)" in out
 
 
+def test_out_of_range_length_is_a_usage_error():
+    for length in ("0", "7"):
+        code, _ = invoke(["gv", "--dim", "27", "--dim-ab", "6", "--length", length])
+        assert code == EXIT_USAGE
+    # rejected while parsing arguments, before any completion runs
+    code, _ = invoke(["contraction", "--builtin", "laufer-nccr", "--length", "9"])
+    assert code == EXIT_USAGE
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "nonsense.txt"
     bad.write_text("this is not : a presentation\n")
@@ -104,6 +113,32 @@ def test_nf_command():
     code, out = invoke(["nf", "--builtin", "length-2", "--element", "a*A", "--degree", "6"])
     assert code == EXIT_OK
     assert "normal_form: t*e0" in out
+
+
+def test_nf_large_exponents():
+    code, out = invoke(["nf", "--builtin", "laufer", "--element", "t^70000*a"])
+    assert code == EXIT_OK
+    assert "normal_form: t^70000*a" in out
+    # a^2 = 0 here, so the power stops at once
+    code, out = invoke(["nf", "--builtin", "laufer-nccr", "--element", "a^99999999999"])
+    assert code == EXIT_OK
+    assert "normal_form: 0" in out
+    # b is a loop: its power is refused once its path could pass the limit,
+    # before that path is built
+    code, _ = invoke(["nf", "--builtin", "laufer-nccr", "--element", "b^99999999999"])
+    assert code == EXIT_USAGE
+    # total degree 2^64 does not fit a packed monomial
+    code, _ = invoke(["nf", "--builtin", "laufer", "--element", "t^18446744073709551616*a"])
+    assert code == EXIT_USAGE
+
+
+def test_zero_denominator_is_a_usage_error(tmp_path):
+    code, _ = invoke(["nf", "--builtin", "laufer-nccr", "--element", "(1/0)"])
+    assert code == EXIT_USAGE
+    pres = tmp_path / "zero.pres"
+    pres.write_text("params: t\nvertices: 0\narrows: b: 0 -> 0\nrelations: b*b - (1/0)*t*e0\n")
+    code, _ = invoke(["gb", "--in", str(pres), "--degree", "4"])
+    assert code == EXIT_USAGE
 
 
 def test_specialize_with_map_file(tmp_path):

@@ -150,6 +150,69 @@ def test_parse_errors():
         parse_poly("q + 1", RING)  # undeclared name
     with pytest.raises(CoeffError):
         parse_poly("t +", RING)
+    with pytest.raises(CoeffError, match="zero denominator at position 6"):
+        parse_poly("t + 1/0", RING)
+
+
+def test_packed_key_order_is_grlex():
+    rng = random.Random(7)
+    top = 2 ** 64 - 1
+    small = [tuple(rng.randint(0, 4) for _ in range(4)) for _ in range(80)]
+    exps = set(small) | {(top, 0, 0, 0), (0, 0, 0, top), (2 ** 63, 0, 2 ** 63 - 1, 0),
+                         (1, top - 1, 0, 0)}
+    assert sorted(exps, key=RING._pack) == sorted(exps, key=coeff._grlex_key)
+    assert all(RING._unpack(RING._pack(e)) == e for e in exps)
+    # a monomial product is one key addition
+    for e, f in zip(small[:40], small[40:]):
+        assert RING._pack(e) + RING._pack(f) == RING._pack(tuple(x + y for x, y in zip(e, f)))
+
+
+def test_terms_view_round_trips_through_the_constructor():
+    rng = random.Random(5)
+    for _ in range(40):
+        p = rand_poly(rng, RING)
+        view = p.terms
+        assert all(isinstance(c, Fraction) and c for c in view.values())
+        assert MultiPoly(RING, view) == p
+    p = parse_poly("(1/2)*t*u - 2/3 + w", RING)
+    assert p.terms == {(1, 1, 0, 0): Fraction(1, 2), (0, 0, 0, 1): 1, (0, 0, 0, 0): Fraction(-2, 3)}
+    assert (p.num, p.den) == ({RING._pack((1, 1, 0, 0)): 3, RING._pack((0, 0, 0, 1)): 6, 0: -4}, 6)
+
+
+def test_equal_polynomials_hash_alike():
+    rng = random.Random(17)
+    t = RING.var("t")
+    for _ in range(30):
+        a, b = rand_poly(rng, RING), rand_poly(rng, RING)
+        left, right = (a + b) * (a - b), a * a - b * b
+        assert left == right and hash(left) == hash(right)
+        thirds = a * Fraction(1, 3) + a * Fraction(2, 3)
+        assert thirds == a and hash(thirds) == hash(a)
+    half = RING.const(Fraction(1, 2))
+    assert (half + half).den == 1 and hash(half + half) == hash(RING.one())
+    assert divexact(t * t * 6, t * 4) == t * Fraction(3, 2)
+
+
+def test_large_exponents_fit():
+    t = RING.var("t")
+    p = t ** 70000
+    assert p.total_degree() == 70000 and p.degree_in("t") == 70000
+    assert p.terms == {(70000, 0, 0, 0): 1}
+    top = t ** (2 ** 64 - 1)
+    assert top.lead() == ((2 ** 64 - 1, 0, 0, 0), 1)
+    assert format_poly(top) == "t^18446744073709551615"
+
+
+def test_total_degree_beyond_the_field_raises():
+    t, u = RING.var("t"), RING.var("u")
+    with pytest.raises(CoeffError):
+        t ** (2 ** 64)
+    with pytest.raises(CoeffError):
+        t ** (2 ** 63) * u ** (2 ** 63)
+    with pytest.raises(CoeffError):
+        MultiPoly(RING, {(2 ** 64, 0, 0, 0): 1})
+    with pytest.raises(CoeffError):
+        parse_poly("t^18446744073709551616", RING)
 
 
 def test_gcd_and_divexact():
@@ -165,6 +228,16 @@ def test_gcd_and_divexact():
         assert divexact(a * g, d) * d == a * g
         assert divexact(b * g, d) * d == b * g
         assert divexact(d, poly_gcd(d, g)) is not None
+
+
+@pytest.mark.parametrize("f_text, g_text", [
+    ("t^2", "2*t + 3*u"),  # the quotient's first coefficient is not an integer
+    ("t^2 + 1", "t"),  # a remainder monomial that t does not divide
+    ("t*u + 1", "u + 1"),
+])
+def test_divexact_rejects_a_non_divisor(f_text, g_text):
+    with pytest.raises(CoeffError):
+        divexact(parse_poly(f_text, RING), parse_poly(g_text, RING))
 
 
 def test_gcd_finds_a_factor_that_is_one_at_the_hash_point():
@@ -278,3 +351,22 @@ def test_grading_default_two():
     assert ring.grading == (2, 4)
     p = ring.var("t") * ring.var("s")
     assert p.graded_degree() == 6
+
+
+def test_lead_ratio_divides_by_the_leading_coefficient():
+    p = parse_poly("(2/3)*t*u - 4/9 + w", RING)
+    n, d = p.lead_ratio()
+    assert Fraction(n, d) == p.lead()[1] == Fraction(2, 3) and d > 0
+    assert p.scale(d, n).lead()[1] == 1
+    assert RING.const(Fraction(-5, 7)).lead_ratio() == (-5, 7)
+    with pytest.raises(CoeffError):
+        RING.zero().lead_ratio()
+
+
+def test_cast_keeps_the_polynomial():
+    p = parse_poly("(1/2)*t^2*u - w + 3", RING)
+    regraded = ParamRing(RING.names, {n: 4 for n in RING.names})
+    q = p.cast(regraded)
+    assert q.ring is regraded and q.terms == p.terms
+    wider = RING.extend(["z"])
+    assert p.cast(wider).cast(RING) == p

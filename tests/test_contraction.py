@@ -103,6 +103,9 @@ def test_gv_multiple_solutions_all_reported():
 def test_gv_errors():
     with pytest.raises(ContractionError):
         gv_invariants(3, 5)
+    for length in (0, 7, -1):
+        with pytest.raises(ContractionError):
+            gv_invariants(27, 6, length)
 
 
 def test_contraction_report_laufer():

@@ -1,0 +1,40 @@
+"""`--format records` output compared byte for byte with recorded goldens.
+
+Each file under tests/golden/ holds the records output of one command.
+The goldens were written before the packed-integer coefficient kernel
+replaced the Fraction one, so arithmetic rewrites must leave every
+equation, matrix, basis and check report exactly as it was.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from flopcalc.cli import EXIT_OK, run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "mf-length-1": ["mf", "--length", "1"],
+    "mf-length-2-nice": ["mf", "--length", "2", "--nice-basis"],
+    "mf-laufer": ["mf", "--builtin", "laufer"],
+    "mf-length-3-example": ["mf", "--builtin", "length-3-example"],
+    "hypersurface-length-2": ["hypersurface", "--length", "2"],
+    "gb-laufer-nccr-10": ["gb", "--builtin", "laufer-nccr", "--degree", "10"],
+    "contraction-laufer-nccr-2": ["contraction", "--builtin", "laufer-nccr", "--length", "2"],
+    "contraction-length-3-nccr-3": ["contraction", "--builtin", "length-3-nccr",
+                                    "--vertex", "0", "--length", "3"],
+}
+COMMANDS.update({"superpotential-%s" % name: ["superpotential", "--builtin", name]
+                 for name in ("laufer-nccr", "length-3-nccr", "length-4-nccr",
+                              "length-5-nccr", "length-6-nccr")})
+
+
+def test_every_golden_has_a_command():
+    assert sorted(p.stem for p in GOLDEN.glob("*.records")) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_records_are_byte_identical(name, capsys):
+    assert run(["--format", "records"] + COMMANDS[name]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == (GOLDEN / (name + ".records")).read_bytes()

@@ -8,6 +8,7 @@ from flopcalc.pathalg import (
     MonomialOrder,
     ParseError,
     Path,
+    MAX_POWER_DEGREE,
     PathAlgebraError,
     arrow_path,
     compose,
@@ -176,3 +177,41 @@ def test_scale_by_rational_and_param(l2):
     t = l2.param("t")
     x = b.scale(t) * b.scale(2)
     assert x == l2.element("2*t*b^2")
+
+
+def test_power_by_squaring(l2):
+    b = l2.element("b + t*e4")
+    assert b ** 0 == l2.element("e0 + e4")
+    assert b ** 5 == b * b * b * b * b
+
+
+def test_power_stops_at_zero(l2):
+    # a*a does not compose, so a^2 = 0 and no huge path is ever built
+    a = l2.element("a")
+    assert (a ** (10 ** 12)).is_zero()
+
+
+def test_power_path_degree_limit(l2, monkeypatch):
+    # b is a loop, so b^n is one path of n arrows
+    b = l2.element("b")
+    assert (b ** MAX_POWER_DEGREE).degree() == MAX_POWER_DEGREE
+    with pytest.raises(PathAlgebraError, match="exceeds the limit"):
+        b ** (MAX_POWER_DEGREE + 1)
+    # refused before the longer path is built, also where the limit is
+    # passed by a squaring rather than by the final product
+    built = []
+    mul = Element.__mul__
+
+    def spy(x, y):
+        out = mul(x, y)
+        built.append(out.degree())
+        return out
+
+    monkeypatch.setattr(Element, "__mul__", spy)
+    with pytest.raises(PathAlgebraError, match="exceeds the limit"):
+        b ** (2 * MAX_POWER_DEGREE)
+    assert max(built) == MAX_POWER_DEGREE
+    monkeypatch.undo()
+    # degree-0 powers are not limited
+    t = l2.element("t*e4")
+    assert (t ** (10 * MAX_POWER_DEGREE)).degree() == 0
