@@ -224,7 +224,9 @@ def _express_in_span(targets, columns, params) -> List[Optional[Dict]]:
                 val = rows[i][k] * piv
                 if not fij.is_zero():
                     val = val - fij * rows[r][k]
-                updated.append(divexact(val, prev) if not prev.is_one() else val)
+                if not (val.is_zero() or prev.is_one()):
+                    val = divexact(val, prev)
+                updated.append(val)
             rows[i][j:] = updated
         pivot_row_of_col[j] = r
         prev = piv

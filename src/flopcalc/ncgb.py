@@ -24,6 +24,13 @@ reduction rather than once per rewrite step.
 completion, raising its degree and continuing, so no rung repeats the
 reductions of the rung below.
 
+An overlap is never reduced when its word holds an active rule's lead
+strictly inside, touching neither its first arrow nor its last: the
+noncommutative chain criterion (Mora 1994; La Scala and Levandovskyy 2009).
+Interreduction makes such a lead overlap both leads of the pair, so the two
+overlaps it forms with them have proper subwords as words, were picked
+earlier, and were resolved already; see `_Completion`.
+
 Normal forms are unique for inputs whose degree stays within the
 truncation bound; `reduce_element` is the same rewriting loop without the
 degree guard (sound for ideal membership at any degree, canonical only
@@ -144,6 +151,16 @@ def _visits(quiver: Quiver, path: Path, vertex: str) -> Optional[int]:
     return None
 
 
+def _contains(quiver: Quiver, path: Path, lead: Path) -> bool:
+    """Whether `lead` is a subword of `path`; an empty lead e_v is one of
+    every path that visits v."""
+    la = lead.arrows
+    if not la:
+        return _visits(quiver, path, lead.source) is not None
+    wa, m = path.arrows, len(la)
+    return any(wa[i:i + m] == la for i in range(len(wa) - m + 1))
+
+
 class _RuleIndex:
     """Rules indexed by leading first arrow for leftmost subword search."""
 
@@ -194,6 +211,22 @@ class _RuleIndex:
 
     def is_normal(self, path: Path) -> bool:
         return self.find(path) is None
+
+
+def _holds_inner_lead(index: _RuleIndex, word: Tuple[int, ...]) -> bool:
+    """Whether a nonempty lead occurs in `word` touching neither end arrow.
+
+    This is the chain criterion for the overlap whose word is `word`: see
+    `_Completion`.
+    """
+    by_first = index.by_first
+    end = len(word) - 1
+    for i in range(1, end):
+        for rule in by_first.get(word[i], ()):
+            la = rule.lead.arrows
+            if i + len(la) <= end and word[i:i + len(la)] == la:
+                return True
+    return False
 
 
 class GroebnerBasis:
@@ -323,8 +356,10 @@ def _reduce_poly_terms(
         la = rule.lead.arrows
         pre = w.arrows[:pos]
         post = w.arrows[pos + len(la):]
+        outer = w.degree - rule.lead.degree
         for rw, rc in rule.rest.items():
-            np = Path(quiver, w.source, pre + rw.arrows + post, _check=False)
+            np = Path(quiver, w.source, pre + rw.arrows + post, _check=False,
+                      _degree=outer + rw.degree)
             nc = c * rc
             prev = work.get(np)
             if prev is None:
@@ -451,6 +486,22 @@ class _Completion:
     a basis is complete only when no overlap of any rule, active or
     retired, remains skipped.  A complete basis is the unique reduced
     basis of its ideal, so it equals the from-scratch one rule for rule.
+
+    An overlap (r1, r2, k) popped from the queue, with word
+    w = lead1 + lead2[k:], is dropped unreduced when an active rule's
+    nonempty lead L occurs in w at a position i >= 1 with
+    i + len(L) <= len(w) - 1 (`_holds_inner_lead`).  No lead holds another,
+    so L is inside neither lead1 nor lead2 and overlaps both: (r1, L) and
+    (L, r2) are overlaps whose words are a proper prefix and a proper
+    suffix of w.  Their pick keys are smaller than w's, so they were
+    popped before it and each was reduced or dropped by the same argument
+    on a shorter word; the containment is strict, so the drops rest on no
+    circle.  The S-element of (r1, r2) is a combination of theirs with
+    words below w, so a complete basis, the unique reduced one, is the
+    same with the criterion as without it.  The criterion acts on the
+    queue only: the overlaps skipped above the truncation and the
+    completeness rule are untouched.  `tests/test_chain_criterion.py`
+    compares bases with and without it byte for byte, truncated ones too.
     """
 
     def __init__(self, algebra: AlgebraPresentation, order: MonomialOrder, budget: Budget):
@@ -533,26 +584,17 @@ class _Completion:
     def _insert(self, terms: PolyTerms):
         index, quiver, order, budget = self.index, self.quiver, self.order, self.budget
         rule = _make_rule(terms, order)
-        la = rule.lead.arrows
-        retired = []
-        if la:
-            m = len(la)
-            for r in index.rules:
-                wa = r.lead.arrows
-                if len(wa) > m and any(wa[i:i + m] == la for i in range(len(wa) - m + 1)):
-                    retired.append(r)
-        else:
-            v = rule.lead.source
-            for r in index.rules:
-                if r.lead.arrows and _visits(quiver, r.lead, v) is not None:
-                    retired.append(r)
+        lead = rule.lead
+        # the new lead is irreducible, so a lead holding it holds it properly
+        retired = [r for r in index.rules if r.lead.arrows and _contains(quiver, r.lead, lead)]
         for r in retired:
             index.remove(r)
             self.pending.append(r.poly_element())
         index.add(rule)
-        # keep every tail fully reduced against the updated system
+        # keep every tail fully reduced against the updated system: only a
+        # tail holding the new lead became reducible
         for r in index.rules:
-            if not r.rest:
+            if not any(_contains(quiver, p, lead) for p in r.rest):
                 continue
             reduced, mult = _reduce_poly_terms(r.rest, index, quiver, order, budget)
             if mult.is_one():
@@ -598,8 +640,10 @@ class _Completion:
                 return
             _, _, _, r1, r2, k = overlap_queue.pop(best_i)
             l1, l2 = r1.lead.arrows, r2.lead.arrows
-            src = quiver.arrows[l1[0]].source
             tail = l2[k:]
+            if _holds_inner_lead(index, l1 + tail):
+                continue
+            src = quiver.arrows[l1[0]].source
             head = l1[: len(l1) - k]
             # lc1*word ≡ rest1*tail and lc2*word ≡ head*rest2:
             # S = lc2*(rest1∘tail) - lc1*(head∘rest2)

@@ -126,7 +126,8 @@ class Path:
 
     __slots__ = ("source", "target", "arrows", "degree", "_hash")
 
-    def __init__(self, quiver: Quiver, source: str, arrows: Tuple[int, ...], _check: bool = True):
+    def __init__(self, quiver: Quiver, source: str, arrows: Tuple[int, ...], _check: bool = True,
+                 _degree: Optional[int] = None):
         self.arrows = arrows
         if arrows:
             qa = quiver.arrows
@@ -139,7 +140,8 @@ class Path:
                     at = a.target
             self.source = source
             self.target = qa[arrows[-1]].target
-            self.degree = sum(qa[i].degree for i in arrows)
+            # a caller that splices words passes the degree it already knows
+            self.degree = sum(qa[i].degree for i in arrows) if _degree is None else _degree
         else:
             self.source = source
             self.target = source

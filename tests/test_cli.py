@@ -1,7 +1,10 @@
 import io
 import sys
 
+from flopcalc.catalog import builtins
 from flopcalc.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, run
+from flopcalc.contraction import contraction_presentation
+from flopcalc.ncgb import Budget, _Completion
 
 
 def invoke(argv):
@@ -83,10 +86,15 @@ def test_budget_exit_code():
 
 
 def test_contraction_budget_names_the_truncation_degree(capsys):
+    # a budget of exactly the steps of the first rung, degree 8, lets that
+    # rung finish and runs out at the next one, degree 12
+    con = contraction_presentation(builtins()["length-4-nccr"].presentation(), "0")
+    first = _Completion(con, con.order(), Budget())
+    first.run(8)
     code, _ = invoke(["contraction", "--builtin", "length-4-nccr", "--length", "4",
-                      "--budget", "2000"])
+                      "--budget", str(first.budget.steps)])
     assert code == EXIT_BUDGET
-    assert "truncation degree 8" in capsys.readouterr().err
+    assert "truncation degree 12" in capsys.readouterr().err
 
 
 def test_budget_zero_is_not_the_default():
