@@ -16,12 +16,15 @@ Reported dimensions are those of the complete local contraction algebra
 plain quotient can carry extra semisimple summands supported away from the
 origin, and `completed_dimension` removes them exactly by computing the
 stable power of the arrow ideal.  For homogeneous ideals the two notions
-coincide with the graded word count.
+coincide with the graded word count.  The powers come from one loop:
+m^(k+1) = span{x f} over the arrows x and a basis f of m^k, since every
+path of length >= 1 is x*q and q*m^k lies in the ideal m^k.  Its rows are
+primitive integer vectors on the normal-word basis, reduced fraction free.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .ncgb import (
@@ -33,7 +36,15 @@ from .ncgb import (
     enumerate_normal_words,
     reduce_element,
 )
-from .pathalg import AlgebraPresentation, Element, Path, PathAlgebraError, Quiver
+from .pathalg import (
+    AlgebraPresentation,
+    Element,
+    Path,
+    PathAlgebraError,
+    Quiver,
+    arrow_path,
+    compose,
+)
 
 
 class ContractionError(PathAlgebraError):
@@ -121,8 +132,16 @@ def completed_dimension(alg: AlgebraPresentation, budget: Optional[Budget] = Non
     origin (the ideal need not be homogeneous); the contraction algebra of
     the flops literature is the complete local one.  For finite-dimensional
     A the arrow-ideal powers m^k stabilize at m^infty and the completion is
-    A/m^infty, so dim = dim A - dim m^infty, computed by exact linear
-    algebra on the normal-word basis.
+    A/m^infty, so dim = dim A - dim m^infty.
+
+    One loop over the powers computes it on the normal-word basis: m^0 = A
+    is spanned by the unit vectors, and m^(k+1) = span{L_x f} over the
+    arrows x and a basis f of m^k, where L_x is left multiplication by x
+    (every path of length >= 1 is x*q, and q*m^k lies in the ideal m^k).
+    The loop stops when the dimension stops falling.  Each L_x is scaled
+    by the lcm of its entry denominators, which keeps every span, so the
+    elimination is fraction free and each basis row is a primitive
+    integer vector.
     """
     budget = budget or Budget()
     gb = complete_groebner(alg, budget=budget, max_truncation=max_truncation)
@@ -130,108 +149,73 @@ def completed_dimension(alg: AlgebraPresentation, budget: Optional[Budget] = Non
         words = enumerate_normal_words(gb, None, None, None)
     except InfiniteDimensionError:
         return INFINITE
-    n = len(words)
     pos = {p: i for i, p in enumerate(words)}
     quiver, params = alg.quiver, alg.params
 
-    def vec(elem: Element) -> Dict[int, Fraction]:
-        out = {}
-        for p, c in elem.terms.items():
-            if not c.is_polynomial() or not c.num.is_constant():
-                raise ContractionError("completed dimension needs constant coefficients")
-            out[pos[p]] = c.num.constant_value()
-        return out
-
-    def row_reduce_into(basis: Dict[int, Dict[int, Fraction]], row: Dict[int, Fraction]) -> bool:
-        row = dict(row)
-        while row:
-            j = min(row)
-            piv = basis.get(j)
-            if piv is None:
-                lc = row[j]
-                basis[j] = {k: v / lc for k, v in row.items()}
-                return True
-            f = row[j]
-            for k, v in piv.items():
-                nv = row.get(k, Fraction(0)) - f * v
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
-        return False
-
-    from .pathalg import compose, arrow_path
-
-    # sparse one-arrow multiplication actions on the normal-word basis
-    def action(side: str):
-        mats = []
-        for a in quiver.arrows:
-            ap = arrow_path(quiver, a.name)
-            col: Dict[int, Dict[int, Fraction]] = {}
-            for j, w in enumerate(words):
-                p = compose(quiver, ap, w) if side == "left" else compose(quiver, w, ap)
-                if p is None:
-                    continue
-                e = reduce_element(Element.from_path(quiver, params, p), gb, budget)
-                if not e.is_zero():
-                    col[j] = vec(e)
-            mats.append(col)
-        return mats
-
-    left_mats = action("left")
-    right_mats = action("right")
-
-    def apply(mat, v: Dict[int, Fraction]) -> Dict[int, Fraction]:
-        out: Dict[int, Fraction] = {}
-        for j, c in v.items():
-            img = mat.get(j)
-            if not img:
-                continue
-            for k, ck in img.items():
-                s = out.get(k, Fraction(0)) + c * ck
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return out
-
-    def closed_span(seeds, mats) -> Tuple[Dict[int, Dict[int, Fraction]], List[Dict[int, Fraction]]]:
-        basis: Dict[int, Dict[int, Fraction]] = {}
-        kept: List[Dict[int, Fraction]] = []
-        queue = [dict(v) for v in seeds]
-        while queue:
-            v = queue.pop()
-            if row_reduce_into(basis, v):
-                kept.append(v)
-                for mat in mats:
-                    w = apply(mat, v)
-                    if w:
-                        queue.append(w)
-        return basis, kept
-
-    # m = sum over arrows x of A x A: right-close {x} then left-close
-    arrow_vecs = []
+    # left multiplication by each arrow: integer columns {word: {word: n}}
+    actions = []
     for a in quiver.arrows:
-        e = reduce_element(Element.arrow(quiver, params, a.name), gb, budget)
-        if not e.is_zero():
-            arrow_vecs.append(vec(e))
-    _, right_closed = closed_span(arrow_vecs, right_mats)
-    _, current = closed_span(right_closed, left_mats)
-    dim_power = len(current)
-    # m^(k+1) = sum over arrows x of A x m^k, already a two-sided ideal
-    while dim_power:
-        seeds = []
-        for mat in left_mats:
-            for f in current:
-                w = apply(mat, f)
-                if w:
-                    seeds.append(w)
-        _, nxt = closed_span(seeds, left_mats)
-        if len(nxt) == dim_power:
+        ap = arrow_path(quiver, a.name)
+        cols: Dict[int, Dict[int, Tuple[int, int]]] = {}
+        for j, w in enumerate(words):
+            p = compose(quiver, ap, w)
+            if p is None:
+                continue
+            e = reduce_element(Element.from_path(quiver, params, p), gb, budget)
+            col = {}
+            for q, c in e.terms.items():
+                if not c.is_polynomial() or not c.num.is_constant():
+                    raise ContractionError("completed dimension needs constant coefficients")
+                col[pos[q]] = c.num.lead_ratio()
+            if col:
+                cols[j] = col
+        scale = lcm(*(d for col in cols.values() for _, d in col.values()))
+        actions.append({j: {k: n * (scale // d) for k, (n, d) in col.items()}
+                        for j, col in cols.items()})
+
+    power = {j: {j: 1} for j in range(len(words))}  # echelon basis of m^0 = A
+    while power:
+        nxt: Dict[int, Dict[int, int]] = {}
+        for mat in actions:
+            for f in power.values():
+                row: Dict[int, int] = {}
+                for j, c in f.items():
+                    for k, ck in mat.get(j, {}).items():
+                        s = row.get(k, 0) + c * ck
+                        if s:
+                            row[k] = s
+                        else:
+                            del row[k]
+                _reduce_into(nxt, row)
+        if len(nxt) == len(power):
             break
-        dim_power = len(nxt)
-        current = nxt
-    return n - dim_power
+        power = nxt
+    return len(words) - len(power)
+
+
+def _reduce_into(basis: Dict[int, Dict[int, int]], row: Dict[int, int]) -> None:
+    """Fraction-free elimination of an integer row against an echelon basis
+    {pivot: primitive row with a positive pivot}; a nonzero remainder joins
+    the basis, made primitive."""
+    while row:
+        j = min(row)
+        piv = basis.get(j)
+        if piv is None:
+            g = gcd(*row.values())
+            if row[j] < 0:
+                g = -g
+            basis[j] = {k: v // g for k, v in row.items()}
+            return
+        g = gcd(row[j], piv[j])
+        f, lp = row[j] // g, piv[j] // g
+        if lp != 1:
+            row = {k: lp * v for k, v in row.items()}
+        for k, v in piv.items():
+            s = row.get(k, 0) - f * v
+            if s:
+                row[k] = s
+            else:
+                del row[k]
 
 
 def contraction_dims(alg: AlgebraPresentation, e0, budget: Optional[Budget] = None,
@@ -243,16 +227,16 @@ def contraction_dims(alg: AlgebraPresentation, e0, budget: Optional[Budget] = No
 def _dims_of(con: AlgebraPresentation, budget: Optional[Budget],
              max_truncation: int) -> Tuple[object, object]:
     """(dim, dim_ab) of a contraction presentation that is already built."""
-    try:
-        dim = completed_dimension(con, budget=budget, max_truncation=max_truncation)
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(
-            "contraction dimension did not finish: %s (an incomplete basis or "
-            "completion-sensitivity of the presentation are possible causes)" % exc,
-            partial=exc.partial)
-    dim_ab = completed_dimension(abelianization(con), budget=budget,
-                                 max_truncation=max_truncation)
-    return dim, dim_ab
+    dims = []
+    for name, pres in (("dim", con), ("dim_ab", abelianization(con))):
+        try:
+            dims.append(completed_dimension(pres, budget=budget, max_truncation=max_truncation))
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(
+                "contraction dimension did not finish (%s): %s (an incomplete basis or "
+                "completion-sensitivity of the presentation are possible causes)"
+                % (name, exc), partial=exc.partial)
+    return tuple(dims)
 
 
 def gv_invariants(dim: int, dim_ab: int, length: Optional[int] = None) -> List[Tuple[int, ...]]:

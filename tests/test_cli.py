@@ -1,6 +1,9 @@
 import io
+import os
+import subprocess
 import sys
 
+import flopcalc
 from flopcalc.catalog import builtins
 from flopcalc.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, run
 from flopcalc.contraction import contraction_presentation
@@ -185,3 +188,14 @@ def test_invariants_command():
 def test_usage_error_unknown_command():
     code, _ = invoke(["frobnicate"])
     assert code == EXIT_USAGE
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flopcalc.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "flopcalc", "gv", "--dim", "9",
+                           "--dim-ab", "5", "--length", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "(5, 1, 0, 0, 0, 0)" in done.stdout

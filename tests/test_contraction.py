@@ -4,12 +4,13 @@ from flopcalc.catalog import builtins
 from flopcalc.contraction import (
     ContractionError,
     abelianization,
+    completed_dimension,
     contraction_dims,
     contraction_presentation,
     contraction_report,
     gv_invariants,
 )
-from flopcalc.ncgb import dimension
+from flopcalc.ncgb import Budget, BudgetExceededError, dimension
 from flopcalc.pathalg import parse_presentation
 
 
@@ -136,3 +137,40 @@ def test_completed_vs_graded_dimension():
     con = contraction_presentation(l3, "0")
     assert dimension(con) == 30
     assert contraction_dims(l3, "0")[0] == 27
+
+
+def test_length_4_contraction_dims():
+    assert contraction_dims(builtins()["length-4-nccr"].presentation(), "0") == (60, 6)
+
+
+def test_completed_dimension_needs_constant_coefficients():
+    pres = parse_presentation(
+        "params: t\nvertices: 0, 1\narrows: a: 0 -> 1, x: 1 -> 1, y: 1 -> 1\n"
+        "relations: x*y - y*x ; x*x - t*y ; y*y")
+    with pytest.raises(ContractionError, match="completed dimension needs constant coefficients"):
+        contraction_dims(pres, "0")
+
+
+def test_budget_error_names_the_dimension_that_ran_out():
+    laufer = builtins()["laufer-nccr"].presentation()
+    with pytest.raises(BudgetExceededError) as err:
+        contraction_dims(laufer, "0", budget=Budget(0))
+    assert "did not finish (dim)" in str(err.value)
+    # a budget of exactly the steps of `dim` lets it finish and runs out
+    # in the abelianization's completion
+    measured = Budget()
+    completed_dimension(contraction_presentation(laufer, "0"), budget=measured)
+    with pytest.raises(BudgetExceededError) as err:
+        contraction_dims(laufer, "0", budget=Budget(measured.steps))
+    assert "did not finish (dim_ab)" in str(err.value)
+    assert err.value.partial is not None and not err.value.partial.complete
+
+
+@pytest.mark.parametrize("relations", ["x*x - x ; y*y", "x*x ; y*y - y"])
+def test_completion_removes_a_summand_seen_by_one_arrow(relations):
+    # k[x]/(x^2 - x) (x) k[y]/(y^2) has a second point, at x = 1, that only
+    # x acts on invertibly; the mirror case puts it at y = 1
+    pres = parse_presentation("params:\nvertices: 0\narrows: x: 0 -> 0, y: 0 -> 0\n"
+                              "relations: x*y - y*x ; " + relations)
+    assert dimension(pres) == 4
+    assert completed_dimension(pres) == 2
