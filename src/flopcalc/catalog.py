@@ -618,7 +618,7 @@ _ENTRY_SPECS = {
                     "a*c^2*b*c*b", "a*c^2*b*c^2*b", "a*c^2*b*c^2*b*c",
                     "a*c^2*b*c^2*b*c*b", "a*c^2*b*c^2*b*c*b*c",
                     "a*c^2*b*c^2*b*c*b*c^2"],
-        gb_degree=14,
+        gb_degree=16,
     ),
 }
 

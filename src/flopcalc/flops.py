@@ -393,32 +393,13 @@ class MatrixFactorization:
 
     def check(self) -> bool:
         """Exact verification of C^2 = g I in the commutative ring."""
-        n = self.size
-        g = self.g
-        ring = g.ring
-        for i in range(n):
-            for j in range(n):
-                s = ring.zero()
-                for k in range(n):
-                    s = s + self.C[i][k] * self.C[k][j]
-                want = g if i == j else ring.zero()
-                if s != want:
-                    return False
-        return True
+        return all(e.is_zero() for row in self.residual() for e in row)
 
     def residual(self) -> List[List[MultiPoly]]:
-        n = self.size
-        g = self.g
-        ring = g.ring
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                s = ring.zero()
-                for k in range(n):
-                    s = s + self.C[i][k] * self.C[k][j]
-                row.append(s - (g if i == j else ring.zero()))
-            out.append(row)
+        """C^2 - g I, entry by entry."""
+        out = _mat_mul(self.C, self.C, self.g.ring)
+        for i in range(self.size):
+            out[i][i] = out[i][i] - self.g
         return out
 
     def x_plus(self) -> List[List[MultiPoly]]:

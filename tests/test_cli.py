@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import flopcalc
+from flopcalc import flops
 from flopcalc.catalog import builtins
 from flopcalc.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, run
 from flopcalc.contraction import contraction_presentation
@@ -118,6 +119,27 @@ def test_heavy_gating():
     # with --heavy it starts (budget-capped so the test stays fast)
     code, _ = invoke(["hypersurface", "--length", "4", "--heavy", "--budget", "10"])
     assert code == EXIT_BUDGET
+
+
+def test_mf_squares_c_once(monkeypatch):
+    # the pipeline checks C^2 = g I; printing the identity does not redo it
+    squares = []
+    mat_mul = flops._mat_mul
+
+    def spy(a, b, ring):
+        if a is b:
+            squares.append(a)
+        return mat_mul(a, b, ring)
+
+    monkeypatch.setattr(flops, "_mat_mul", spy)
+    code, out = invoke(["mf", "--length", "1"])
+    assert code == EXIT_OK and "C^2 = g*I exact" in out
+    assert len(squares) == 1
+
+
+def test_raw_is_the_default_not_a_flag():
+    code, _ = invoke(["hypersurface", "--length", "1", "--raw"])
+    assert code == EXIT_USAGE
 
 
 def test_nf_command():

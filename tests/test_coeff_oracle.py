@@ -98,15 +98,21 @@ def test_divexact_matches_sympy(case, planted_factor):
 def test_ratfunc_normalisation_matches_sympy(case):
     ring, (num, den, common) = case
     r = RatFunc(num * common, den * common)
-    gens = sympy.symbols(ring.names)
-    got_num, got_den = _expr(r.num, gens), _expr(r.den, gens)
-    # the same value, in lowest terms, with a monic denominator
-    assert sympy.expand(got_num * _expr(den, gens) - got_den * _expr(num, gens)) == 0
-    if gens:
-        assert sympy.gcd(got_num, got_den).is_number
-        assert sympy.Poly(got_den, *gens).LC(order="grlex") == 1
-    else:
-        assert got_den == 1
+    # the same value cast into the ring with the names reversed, where the
+    # denominator's leading term can change
+    reversed_ring = ParamRing(ring.names[::-1])
+    cases = [(r, num, den),
+             (RatFunc.coerce(reversed_ring, r), num.cast(reversed_ring), den.cast(reversed_ring))]
+    for r, num, den in cases:
+        gens = sympy.symbols(r.ring.names)
+        got_num, got_den = _expr(r.num, gens), _expr(r.den, gens)
+        # the same value, in lowest terms, with a monic denominator
+        assert sympy.expand(got_num * _expr(den, gens) - got_den * _expr(num, gens)) == 0
+        if gens:
+            assert sympy.gcd(got_num, got_den).is_number
+            assert sympy.Poly(got_den, *gens).LC(order="grlex") == 1
+        else:
+            assert got_den == 1
 
 
 @ORACLE

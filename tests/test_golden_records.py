@@ -20,6 +20,7 @@ COMMANDS = {
     "mf-laufer": ["mf", "--builtin", "laufer"],
     "mf-length-3-example": ["mf", "--builtin", "length-3-example"],
     "hypersurface-length-2": ["hypersurface", "--length", "2"],
+    "hypersurface-length-3": ["hypersurface", "--length", "3"],
     "gb-laufer-nccr-10": ["gb", "--builtin", "laufer-nccr", "--degree", "10"],
     "contraction-laufer-nccr-2": ["contraction", "--builtin", "laufer-nccr", "--length", "2"],
     "contraction-length-3-nccr-3": ["contraction", "--builtin", "length-3-nccr",
