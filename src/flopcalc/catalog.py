@@ -909,11 +909,11 @@ def catalog_presentation(name: str) -> AlgebraPresentation:
     """Look up any catalog presentation by its public name."""
     if name.startswith("length-") and name[7:].isdigit():
         return universal_flopping_algebra(int(name[7:])).presentation()
-    if name.startswith("central-fibre-"):
+    if name.startswith("central-fibre-") and name[14:].isdigit():
         return universal_flopping_algebra(int(name[14:])).central_fibre_presentation()
-    if name.startswith("preprojective-"):
+    if name.startswith("preprojective-") and name[14:] in DIAGRAMS:
         return preprojective(DIAGRAMS[name[14:]])
-    if name.startswith("deformed-preprojective-"):
+    if name.startswith("deformed-preprojective-") and name[23:] in DIAGRAMS:
         return deformed_preprojective(DIAGRAMS[name[23:]])
     b = builtins()
     if name in b:

@@ -226,13 +226,16 @@ def cmd_specialize(args, out: _Out):
 
 def cmd_superpotential(args, out: _Out):
     if args.builtin:
-        b = builtins()[args.builtin]
-        if b.superpotential is None:
+        b = builtins().get(args.builtin)
+        if b is None or b.superpotential is None:
+            catalog_presentation(args.builtin)  # raises CatalogError on an unknown name
             raise CatalogError("builtin %r records no superpotential" % args.builtin)
         pres = b.presentation()
         phi = b.superpotential_element()
     else:
         pres = _load_presentation(args)
+        if args.phi is None:
+            raise ParseError("--phi is required with --in")
         with open(args.phi, "r", encoding="utf-8") as fh:
             phi = parse_element(fh.read().strip(), pres.quiver, pres.params)
     report = verify_superpotential(pres, phi, gb_degree=args.degree, budget=_budget(args))
@@ -342,10 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output format (records = line-delimited, schema: 1)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, pipeline=False, presentation=False):
+    def common(sp, pipeline=False, presentation=False,
+               degree_help="truncation degree override"):
         sp.add_argument("--budget", type=int, default=None,
                         help="reduction step budget (default env FLOPCALC_MAX_STEPS or 10^6)")
-        sp.add_argument("--degree", type=int, default=None, help="truncation degree override")
+        sp.add_argument("--degree", type=int, default=None, help=degree_help)
         if pipeline:
             sp.add_argument("--length", type=int, choices=range(1, 7), default=None)
             sp.add_argument("--builtin", default=None)
@@ -388,7 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_specialize)
 
     sp = sub.add_parser("superpotential", help="verify a superpotential against relations")
-    common(sp, presentation=True)
+    common(sp, presentation=True,
+           degree_help="truncation degree override; it matters only for checks that "
+                       "inspection does not decide (an element that is zero or a constant "
+                       "multiple of a generator of the other side needs no basis)")
     sp.add_argument("--phi", default=None, help="file with the potential element")
     sp.set_defaults(func=cmd_superpotential)
 

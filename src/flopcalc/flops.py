@@ -587,6 +587,29 @@ class SuperpotentialReport(CheckReport):
         self.derivative_normal_forms: Dict[str, Element] = {}
 
 
+def _normal_forms(elements, ideal: AlgebraPresentation, degree: int, budget: Budget):
+    """Yield (normal form, failure detail) for each element modulo the ideal
+    generated by `ideal.relations`, against its basis truncated at `degree`.
+
+    Zero, or a nonzero constant multiple of a generator (equal to it after
+    `_monic`), lies in the ideal by inspection: its normal form is zero.
+    The basis is completed once, at the first element inspection cannot
+    place, and never when inspection places them all.  A nonzero normal
+    form is also returned formatted in the basis order, as the detail.
+    """
+    order = ideal.order()
+    generators = [_monic(g, order) for g in ideal.relations if not g.is_zero()]
+    gb = None
+    for x in elements:
+        if x.is_zero() or _monic(x, order) in generators:
+            yield Element.zero(x.quiver, x.params), ""
+            continue
+        if gb is None:
+            gb = truncated_groebner(ideal, None, degree, budget)
+        nf = reduce_element(x, gb, budget)
+        yield nf, "" if nf.is_zero() else nf.format(gb.order)
+
+
 def verify_superpotential(alg: AlgebraPresentation, phi: Element,
                           gb_degree: Optional[int] = None,
                           budget: Optional[Budget] = None) -> SuperpotentialReport:
@@ -595,14 +618,16 @@ def verify_superpotential(alg: AlgebraPresentation, phi: Element,
     Two directions, both up to the truncation degree: every derivative must
     reduce to zero against the relations (the derivatives lie in the
     ideal), and every relation must reduce to zero against the ideal
-    generated by the derivatives.
+    generated by the nonzero derivatives.
 
-    A relation that is a nonzero constant multiple of a derivative lies in
-    <d phi> by inspection: both are compared after dividing by their
-    leading coefficients.  The derivative ideal is completed, once, only
-    for a relation that is not; a generator always reduces to zero against
-    its own ideal's basis at a degree at least its own, so the report is
-    the same as reducing every relation.
+    Both directions run one membership loop (`_normal_forms`).  An element
+    that is zero, or a nonzero constant multiple of a generator of the other
+    side, lies in that ideal by inspection, so an NCCR whose relations are
+    its potential's cyclic derivatives verifies without any completion.
+    The other side's basis is completed, once, only for an element that
+    inspection cannot place.  Inspection reports what reduction would: the
+    truncation degree is at least every generator's degree, and a truncated
+    basis reduces each generator of degree up to its truncation to zero.
     """
     budget = budget or Budget()
     report = SuperpotentialReport()
@@ -612,34 +637,16 @@ def verify_superpotential(alg: AlgebraPresentation, phi: Element,
     degree = max(degree, phi.degree(),
                  max((r.degree() for r in alg.relations if not r.is_zero()), default=1))
 
-    gb = truncated_groebner(alg, None, degree, budget)
-    derivs = {}
-    for a in alg.quiver.arrows:
-        d = cyclic_derivative(phi, a.name)
-        derivs[a.name] = d
-        report.derivatives[a.name] = d
-        nf = reduce_element(d, gb, budget)
-        report.derivative_normal_forms[a.name] = nf
-        report.add("NF(d_%s phi) = 0" % a.name, nf.is_zero(),
-                   "" if nf.is_zero() else nf.format(gb.order))
+    derivs = report.derivatives = {a.name: cyclic_derivative(phi, a.name)
+                                   for a in alg.quiver.arrows}
+    for name, (nf, detail) in zip(derivs, _normal_forms(derivs.values(), alg, degree, budget)):
+        report.derivative_normal_forms[name] = nf
+        report.add("NF(d_%s phi) = 0" % name, nf.is_zero(), detail)
 
-    deriv_rels = [d for d in derivs.values() if not d.is_zero()]
-    if deriv_rels:
-        monic_derivs = [_monic(d, gb.order) for d in deriv_rels]
-        dgb = None
-        for i, r in enumerate(alg.relations):
-            if r.is_zero() or _monic(r, gb.order) in monic_derivs:
-                report.add("relation %d in <d phi>" % i, True)
-                continue
-            if dgb is None:
-                dalg = alg.with_relations(deriv_rels, name=(alg.name or "algebra") + "-potential")
-                dgb = truncated_groebner(dalg, None, degree, budget)
-            nf = reduce_element(r, dgb, budget)
-            report.add("relation %d in <d phi>" % i, nf.is_zero(),
-                       "" if nf.is_zero() else nf.format(dgb.order))
-    else:
-        for i, r in enumerate(alg.relations):
-            report.add("relation %d in <d phi>" % i, r.is_zero())
+    dalg = alg.with_relations([d for d in derivs.values() if not d.is_zero()],
+                              name=(alg.name or "algebra") + "-potential")
+    for i, (nf, detail) in enumerate(_normal_forms(alg.relations, dalg, degree, budget)):
+        report.add("relation %d in <d phi>" % i, nf.is_zero(), detail)
     return report
 
 

@@ -26,8 +26,10 @@ def test_catalog_presentations_all_validate():
 
 
 def test_unknown_catalog_name():
-    with pytest.raises(CatalogError):
-        catalog_presentation("length-7")
+    for name in ("length-7", "nope", "central-fibre-x", "preprojective-Z9",
+                 "deformed-preprojective-Z9"):
+        with pytest.raises(CatalogError):
+            catalog_presentation(name)
 
 
 @pytest.mark.parametrize("length", range(1, 7))

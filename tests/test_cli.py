@@ -201,6 +201,20 @@ def test_superpotential_builtin():
     assert "pass: true" in out
 
 
+def test_superpotential_unknown_builtin_is_a_catalog_error(capsys):
+    code, _ = invoke(["superpotential", "--builtin", "nope"])
+    assert code == EXIT_DOMAIN
+    assert "unknown catalog name 'nope' (try: " in capsys.readouterr().err
+
+
+def test_superpotential_file_without_phi_is_a_usage_error(tmp_path, capsys):
+    pres = tmp_path / "laufer.pres"
+    assert invoke(["catalog", "show", "laufer-nccr", "--out", str(pres)])[0] == EXIT_OK
+    code, _ = invoke(["superpotential", "--in", str(pres)])
+    assert code == EXIT_USAGE
+    assert "--phi" in capsys.readouterr().err
+
+
 def test_invariants_command():
     code, out = invoke(["invariants", "--length", "5"])
     assert code == EXIT_OK

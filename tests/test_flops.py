@@ -23,6 +23,7 @@ from flopcalc.flops import (
     verify_representation,
     verify_superpotential,
 )
+from flopcalc.ncgb import Budget
 from flopcalc.pathalg import Path, parse_presentation
 
 
@@ -363,13 +364,21 @@ def completions(monkeypatch):
     return names
 
 
-@pytest.mark.parametrize("name", ["laufer-nccr", "length-4-nccr", "length-5-nccr",
-                                  "length-6-nccr"])
-def test_relations_equal_to_derivatives_skip_the_derivative_ideal(completions, name):
+NORMALISED_LENGTH3 = "a*b*A + a*c*A + (1/4)*b^4 + (1/4)*c^4 - (1/3)*(b+c)^3"
+
+
+@pytest.mark.parametrize("name", ["laufer-nccr", "length-3-nccr", "length-4-nccr",
+                                  "length-5-nccr", "length-6-nccr"])
+def test_relations_equal_to_derivatives_complete_no_ideal(completions, name):
+    # a budget of zero steps: any completion or reduction would exhaust it
     b = builtins()[name]
-    report = verify_superpotential(b.presentation(), b.superpotential_element())
-    assert report.ok
-    assert completions == [name]
+    pres = b.presentation()
+    phi = pres.element(NORMALISED_LENGTH3) if name == "length-3-nccr" \
+        else b.superpotential_element()
+    report = verify_superpotential(pres, phi, budget=Budget(0))
+    assert report.ok, report.failures()
+    assert completions == []
+    assert all(nf.is_zero() for nf in report.derivative_normal_forms.values())
 
 
 def test_length3_literal_still_completes_the_derivative_ideal(completions):
@@ -403,7 +412,26 @@ def test_a_scaled_relation_takes_the_shortcut(completions):
     pres, phi = _laufer_with_relation_3("3*c*b + 3*b*c")
     report = verify_superpotential(pres, phi)
     assert report.ok
-    assert completions == ["planted"]
+    assert completions == []
+
+
+def test_a_changed_tail_coefficient_is_not_placed_by_inspection(completions):
+    # -d_b phi is c*b + b*c: same leading word and coefficient, other tail
+    pres, phi = _laufer_with_relation_3("c*b + 2*b*c")
+    report = verify_superpotential(pres, phi)
+    assert completions == ["planted", "planted-potential"]
+    assert report.failures() == [("NF(d_b phi) = 0", "b*c"),
+                                 ("relation 3 in <d phi>", "b*c")]
+    assert report.derivative_normal_forms["b"] == pres.element("b*c")
+
+
+def test_a_potential_without_derivatives_reports_each_relation():
+    # the derivative ideal is zero, so each relation is its own normal form
+    pres = builtins()["laufer-nccr"].presentation()
+    report = verify_superpotential(pres, pres.element("0"))
+    order = pres.order()
+    assert report.failures() == [("relation %d in <d phi>" % i, r.format(order))
+                                 for i, r in enumerate(pres.relations)]
 
 
 def test_verify_superpotential_zero_on_free():
