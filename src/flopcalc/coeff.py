@@ -423,6 +423,9 @@ class _Tok:
     def __init__(self, kind, value, pos):
         self.kind, self.value, self.pos = kind, value, pos
 
+    def describe(self) -> str:
+        return "end of input" if self.kind == "end" else "token %r" % (self.value,)
+
 
 def tokenize_poly(text: str) -> List[_Tok]:
     toks: List[_Tok] = []
@@ -479,7 +482,7 @@ class _PolyParser:
     def take(self, kind=None):
         t = self.toks[self.i]
         if kind is not None and t.kind != kind:
-            raise CoeffError("expected %s at position %d, found %r" % (kind, t.pos, t.value))
+            raise CoeffError("expected %s at position %d, found %s" % (kind, t.pos, t.describe()))
         self.i += 1
         return t
 
@@ -537,7 +540,7 @@ class _PolyParser:
             p = self.expr()
             self.take(")")
             return p
-        raise CoeffError("unexpected token %r at position %d" % (t.value, t.pos))
+        raise CoeffError("unexpected %s at position %d" % (t.describe(), t.pos))
 
 
 def parse_poly(text: str, ring: ParamRing) -> MultiPoly:

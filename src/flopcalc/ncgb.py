@@ -17,8 +17,12 @@ exact; the monic-over-the-fraction-field view of the basis is what
 `rule_elements` and `serialize` present.
 
 Every reduction rewrites the largest reducible word first.  The pending
-words wait in a max-heap, so each word's order key is computed once per
-reduction rather than once per rewrite step.
+words wait in a max-heap as packed integers: a word is the `digits` of its
+order key (`MonomialOrder.key`), the heap holds int tuples, and a rewrite
+computes the new words' keys from the old word's by integer arithmetic on
+the digits and each rule's compiled tail.  So only the input words of a
+reduction have their key computed, and only its irreducible output words
+become `Path`s.
 
 `complete_groebner` climbs a ladder of truncation degrees on one
 completion, raising its degree and continuing, so no rung repeats the
@@ -106,14 +110,32 @@ class Rule:
     `lc` is 1 whenever the candidate's leading coefficient was constant.
     An empty lead (idempotent path e_v) is the degenerate rule e_v -> 0,
     killing every path through v.
+
+    `compiled` is `rest` as the rewriting kernel reads it: one
+    `(arrows, degree, length, digits, unit, coeff)` entry per word, with the
+    order key's fields and `unit` 1 or -1 for a coefficient of 1 or -1, 0
+    for any other.  `set_rest` replaces both together.
     """
 
-    __slots__ = ("lead", "lc", "rest")
+    __slots__ = ("lead", "lc", "rest", "compiled")
 
-    def __init__(self, lead: Path, lc: MultiPoly, rest: PolyTerms):
+    def __init__(self, lead: Path, lc: MultiPoly, rest: PolyTerms, order: MonomialOrder):
         self.lead = lead
         self.lc = lc
+        self.set_rest(rest, order)
+
+    def set_rest(self, rest: PolyTerms, order: MonomialOrder):
         self.rest = rest
+        key = order.key
+        self.compiled = [
+            (p.arrows,) + key(p) + (1 if c.is_one() else -1 if (-c).is_one() else 0, c)
+            for p, c in rest.items()]
+
+    def copy(self) -> "Rule":
+        """The same rule, unaffected by a later `set_rest` on this one."""
+        twin = Rule.__new__(Rule)
+        twin.lead, twin.lc, twin.rest, twin.compiled = self.lead, self.lc, self.rest, self.compiled
+        return twin
 
     def poly_element(self) -> PolyTerms:
         terms = {self.lead: self.lc}
@@ -139,14 +161,14 @@ class Rule:
         return "Rule(%r -> %d terms)" % (self.lead, len(self.rest))
 
 
-def _visits(quiver: Quiver, path: Path, vertex: str) -> Optional[int]:
-    """First position at which `path`'s vertex sequence hits `vertex`."""
-    if path.source == vertex:
+def _visits(quiver: Quiver, source: str, arrows: Tuple[int, ...], vertex: str) -> Optional[int]:
+    """First position at which the vertex sequence of the word `arrows`
+    from `source` hits `vertex`."""
+    if source == vertex:
         return 0
-    at = path.source
-    for i, ai in enumerate(path.arrows):
-        at = quiver.arrows[ai].target
-        if at == vertex:
+    qa = quiver.arrows
+    for i, ai in enumerate(arrows):
+        if qa[ai].target == vertex:
             return i + 1
     return None
 
@@ -156,7 +178,7 @@ def _contains(quiver: Quiver, path: Path, lead: Path) -> bool:
     every path that visits v."""
     la = lead.arrows
     if not la:
-        return _visits(quiver, path, lead.source) is not None
+        return _visits(quiver, path.source, path.arrows, lead.source) is not None
     wa, m = path.arrows, len(la)
     return any(wa[i:i + m] == la for i in range(len(wa) - m + 1))
 
@@ -184,18 +206,18 @@ class _RuleIndex:
         else:
             del self.empty_leads[rule.lead.source]
 
-    def find(self, path: Path):
-        """Leftmost match: (position, rule) or None.
+    def find(self, source: str, word: Tuple[int, ...]):
+        """Leftmost match in the word `word` from `source`: (position,
+        rule) or None.
 
         Interreduction guarantees at most one nonempty lead matches at a
         given position; empty leads are checked on the vertex sequence.
         """
         if self.empty_leads:
             for v, rule in self.empty_leads.items():
-                pos = _visits(self.quiver, path, v)
+                pos = _visits(self.quiver, source, word, v)
                 if pos is not None:
                     return pos, rule
-        word = path.arrows
         by_first = self.by_first
         n = len(word)
         for i in range(n):
@@ -210,7 +232,7 @@ class _RuleIndex:
         return None
 
     def is_normal(self, path: Path) -> bool:
-        return self.find(path) is None
+        return self.find(path.source, path.arrows) is None
 
 
 def _holds_inner_lead(index: _RuleIndex, word: Tuple[int, ...]) -> bool:
@@ -292,57 +314,54 @@ def _reduce_poly_terms(
     multiplier is the product of the nonconstant leading coefficients of
     the rules applied.  Deterministic: largest reducible word first.
 
-    The pending words of `work` sit in a max-heap keyed by their order key,
-    computed once per distinct word.  Only idempotents e_v at different
-    vertices share a key; a sequence number breaks those ties by the order
-    in which the words entered `work`.  A word that cancels keeps its heap
-    entry, which is skipped when popped because `live` no longer holds its
-    sequence number.
+    A pending word is an int: the `digits` of its order key when it is
+    nonempty, the id -1 - i for the idempotent at the i-th vertex.  The
+    pending words sit in a max-heap of int entries
+    (-degree, -length, -digits, seq, id).  Only the input words go through
+    `order.key`: a rewrite splices a rule's compiled rest into the word,
+    and the new words' degrees, lengths and digits follow from the old
+    ones by integer arithmetic.  Only the irreducible words, the output,
+    become `Path`s.  A rest coefficient of 1 or -1 adds or subtracts the
+    word's coefficient instead of multiplying it.
+
+    Only idempotents e_v at different vertices share a key; a sequence
+    number breaks those ties by the order in which the words entered
+    `work`.  A word that cancels keeps its heap entry, which is skipped
+    when popped because `live` no longer holds its sequence number.
     """
+    base = order.base
+    qa, vertices = quiver.arrows, quiver.vertices
+    vertex_id = {v: -1 - i for i, v in enumerate(vertices)}
     ring = None
-    work: PolyTerms = {}
-    live: Dict[Path, int] = {}
-    heap: List[Tuple[tuple, int, Path]] = []
-    neg_keys: Dict[Path, tuple] = {}
+    work: Dict[int, MultiPoly] = {}
+    words: Dict[int, Tuple[int, ...]] = {}
+    live: Dict[int, int] = {}
+    heap: List[Tuple[int, int, int, int, int]] = []
     seq = count()
-    key = order.key
-
-    def push(p: Path):
-        nk = neg_keys.get(p)
-        if nk is None:
-            # heapq pops the smallest entry, so negate the key; rank tuples
-            # only meet at equal length, where negating each rank reverses
-            # their lexicographic order
-            k = key(p)
-            nk = neg_keys[p] = (-k[0], -k[1], tuple([-r for r in k[2]]))
-        n = next(seq)
-        live[p] = n
-        heappush(heap, (nk, n, p))
-
     for p, c in terms.items():
         if not c.is_zero():
-            work[p] = c
-            push(p)
+            degree, length, digits = order.key(p)
+            w = digits if length else vertex_id[p.source]
+            work[w] = c
+            words[w] = p.arrows
+            n = live[w] = next(seq)
+            heappush(heap, (-degree, -length, -digits, n, w))
             ring = c.ring
     out: PolyTerms = {}
     mult: Optional[MultiPoly] = None
     find = index.find
     while heap:
-        _, n, w = heappop(heap)
+        neg_degree, neg_length, neg_digits, n, w = heappop(heap)
         if live.get(w) != n:
             continue
         del live[w]
         c = work.pop(w)
-        if c.is_zero():
-            continue
-        m = find(w)
+        word = words[w]
+        source = qa[word[0]].source if word else vertices[-1 - w]
+        m = find(source, word)
         if m is None:
-            prev = out.get(w)
-            s = c if prev is None else prev + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            # words pop in strictly decreasing order, so each pops once
+            out[Path(quiver, source, word, _check=False, _degree=-neg_degree)] = c
             continue
         budget.tick()
         pos, rule = m
@@ -353,26 +372,32 @@ def _reduce_poly_terms(
             for p in list(out):
                 out[p] = out[p] * lc
             mult = lc if mult is None else mult * lc
-        la = rule.lead.arrows
-        pre = w.arrows[:pos]
-        post = w.arrows[pos + len(la):]
-        outer = w.degree - rule.lead.degree
-        for rw, rc in rule.rest.items():
-            np = Path(quiver, w.source, pre + rw.arrows + post, _check=False,
-                      _degree=outer + rw.degree)
-            nc = c * rc
-            prev = work.get(np)
+        lead = rule.lead
+        end = pos + len(lead.arrows)
+        pre, post = word[:pos], word[end:]
+        digits = -neg_digits
+        post_scale = base ** (len(word) - end)
+        pre_digits = digits // base ** (len(word) - pos)
+        post_digits = digits % post_scale
+        outer_degree = -neg_degree - lead.degree
+        outer_length = len(word) - end + pos
+        for r_arrows, r_degree, r_length, r_digits, unit, rc in rule.compiled:
+            nd = (pre_digits * base ** r_length + r_digits) * post_scale + post_digits
+            # a spliced word is empty only when the lead was the whole word
+            nw = nd if nd else vertex_id[source]
+            prev = work.get(nw)
             if prev is None:
-                if not nc.is_zero():
-                    work[np] = nc
-                    push(np)
+                work[nw] = c if unit == 1 else -c if unit else c * rc
+                words[nw] = pre + r_arrows + post
+                k = live[nw] = next(seq)
+                heappush(heap, (-outer_degree - r_degree, -outer_length - r_length, -nd, k, nw))
                 continue
-            s = prev + nc
+            s = prev + c if unit == 1 else prev - c if unit else prev + c * rc
             if s.is_zero():
-                del work[np]
-                del live[np]
+                del work[nw]
+                del live[nw]
             else:
-                work[np] = s
+                work[nw] = s
     if mult is None:
         if ring is None:
             ring = ParamRing([])
@@ -389,15 +414,19 @@ def _poly_content(terms: PolyTerms) -> Optional[MultiPoly]:
     return acc
 
 
-def _primitive(terms: PolyTerms, order: MonomialOrder) -> PolyTerms:
+def _primitive(terms: PolyTerms) -> PolyTerms:
     """Divide by the polynomial content and normalize the sign so the
-    leading word's leading rational coefficient is positive."""
+    leading word's leading rational coefficient is positive.
+
+    The words of `terms` come in decreasing order, as `_reduce_poly_terms`
+    returns them, so the first is the leading word.
+    """
     if not terms:
         return terms
     cont = _poly_content(terms)
     if cont is not None and not cont.is_one():
         terms = {p: divexact(c, cont) for p, c in terms.items()}
-    n, d = terms[max(terms, key=order.key)].lead_ratio()
+    n, d = next(iter(terms.values())).lead_ratio()
     if n != d:
         # keep coefficients polynomial: rational rescale is always exact
         terms = {p: c.scale(d, n) for p, c in terms.items()}
@@ -452,7 +481,8 @@ def normal_form(x: Element, gb: GroebnerBasis, budget: Optional[Budget] = None) 
 # ---------------------------------------------------------------------------
 
 def _make_rule(terms: PolyTerms, order: MonomialOrder) -> Rule:
-    lead = max(terms, key=order.key)
+    """The rule of `terms`, whose words come in decreasing order."""
+    lead = next(iter(terms))
     lc = terms[lead]
     rest = {}
     if lc.is_constant():
@@ -467,7 +497,7 @@ def _make_rule(terms: PolyTerms, order: MonomialOrder) -> Rule:
             if p == lead:
                 continue
             rest[p] = -c
-    return Rule(lead, lc, rest)
+    return Rule(lead, lc, rest, order)
 
 
 class _Completion:
@@ -528,7 +558,7 @@ class _Completion:
         """
         rules = sorted(self.index.rules, key=lambda r: self.order.key(r.lead))
         return GroebnerBasis(self.algebra, self.order,
-                             [Rule(r.lead, r.lc, r.rest) for r in rules],
+                             [r.copy() for r in rules],
                              self.max_degree, complete)
 
     def run(self, max_degree: int) -> GroebnerBasis:
@@ -598,17 +628,17 @@ class _Completion:
                 continue
             reduced, mult = _reduce_poly_terms(r.rest, index, quiver, order, budget)
             if mult.is_one():
-                r.rest = reduced
+                r.set_rest(reduced, order)
             else:
                 # lc * lead = rest got scaled: rescale lc accordingly, then
-                # restore primitivity of the full rule
+                # restore primitivity of the full rule; the lead goes first,
+                # so the words stay in decreasing order
                 whole = {r.lead: r.lc * mult}
                 for p, c in reduced.items():
                     whole[p] = -c
-                prim = _primitive(whole, order)
+                prim = _primitive(whole)
                 fresh = _make_rule(prim, order)
-                r.lc = fresh.lc
-                r.rest = fresh.rest
+                r.lc, r.rest, r.compiled = fresh.lc, fresh.rest, fresh.compiled
         self._queue_overlaps(rule)
 
     def _complete(self):
@@ -622,11 +652,11 @@ class _Completion:
                 for t in pending:
                     red, _ = _reduce_poly_terms(t, index, quiver, order, budget)
                     if red:
-                        normalized.append(_primitive(red, order))
+                        normalized.append(_primitive(red))
                 pending.clear()
                 if not normalized:
                     continue
-                normalized.sort(key=lambda t: key(max(t, key=key)))
+                normalized.sort(key=lambda t: key(next(iter(t))))
                 pending.extend(normalized[1:])
                 self._insert(normalized[0])
                 continue

@@ -47,11 +47,15 @@ def _check_power_degree(degree: int) -> None:
 
 
 class ParseError(PathAlgebraError):
+    """Malformed input; `line` and `column` (both from 1) locate it when known."""
+
     def __init__(self, message, line=None, column=None):
-        loc = ""
+        where = []
         if line is not None:
-            loc = " (line %d%s)" % (line, ", column %d" % column if column is not None else "")
-        super().__init__(message + loc)
+            where.append("line %d" % line)
+        if column is not None:
+            where.append("column %d" % column)
+        super().__init__(message + (" (%s)" % ", ".join(where) if where else ""))
         self.line = line
         self.column = column
 
@@ -198,7 +202,8 @@ class MonomialOrder:
 
     Words are compared by (total degree, length, letters); the letter
     comparison uses the precedence ranks, so the order is total on
-    composable words, multiplicative, and well founded.
+    composable words, multiplicative, and well founded.  The letters are
+    packed into one integer, `digits`: see `key`.
     """
 
     def __init__(self, quiver: Quiver, precedence: Optional[Sequence[str]] = None):
@@ -214,10 +219,23 @@ class MonomialOrder:
         for pos, name in enumerate(precedence):
             rank[quiver.arrow(name).index] = n - pos  # earlier in list = larger rank
         self._rank = tuple(rank[i] for i in range(n))
+        self.base = n + 1
 
-    def key(self, path: Path):
-        r = self._rank
-        return (path.degree, len(path.arrows), tuple(r[i] for i in path.arrows))
+    def key(self, path: Path) -> Tuple[int, int, int]:
+        """(degree, length, digits) of a path.
+
+        `digits` reads the word's precedence ranks 1..n as the digits of
+        one base-(n+1) integer, first arrow most significant, and is 0 for
+        an idempotent.  No digit is 0, so the digits determine the word;
+        at equal length, comparing them is the lexicographic comparison of
+        the rank sequences.  A subword's digits are a slice of the word's:
+        `ncgb` splices words by integer arithmetic on them.
+        """
+        r, base = self._rank, self.base
+        digits = 0
+        for i in path.arrows:
+            digits = digits * base + r[i]
+        return (path.degree, len(path.arrows), digits)
 
     def less(self, p: Path, q: Path) -> bool:
         return self.key(p) < self.key(q)
@@ -550,13 +568,14 @@ class _ElementParser(_PolyParser):
                 return Element.idempotent(self.quiver, self.ring, name[1:])
             if name in self.ring._index:
                 return self._const(RatFunc(self.ring.var(name)))
-            raise ParseError("unknown name %r (not an arrow, idempotent, or parameter)" % name, column=t.pos)
+            raise ParseError("unknown name %r (not an arrow, idempotent, or parameter)" % name,
+                             column=t.pos + 1)
         if t.kind == "(":
             self.take()
             p = self.expr()
             self.take(")")
             return p
-        raise ParseError("unexpected token %r" % (t.value,), column=t.pos)
+        raise ParseError("unexpected %s" % t.describe(), column=t.pos + 1)
 
     def factor(self):
         base = self.atom()
@@ -569,7 +588,7 @@ class _ElementParser(_PolyParser):
             try:
                 base = base ** int(e)
             except PathAlgebraError as exc:
-                raise ParseError(str(exc), column=t.pos)
+                raise ParseError(str(exc), column=t.pos + 1)
         return base
 
     def term(self):
@@ -631,7 +650,7 @@ def parse_presentation(text: str) -> AlgebraPresentation:
                     deg = deg.strip()
                     if not deg.startswith("deg") or not deg.endswith(")"):
                         raise ParseError("bad parameter grading %r" % tok, line=lineno)
-                    grading[nm] = int(deg[3:-1])
+                    grading[nm] = _parse_int(deg[3:-1], "parameter grading of %r" % nm, lineno)
                     params.append(nm)
                 else:
                     params.append(tok)
@@ -648,7 +667,7 @@ def parse_presentation(text: str) -> AlgebraPresentation:
         elif key == "precedence":
             precedence = _split_list(value)
         elif key == "gb_degree":
-            gb_degree = int(value)
+            gb_degree = _parse_int(value, "gb_degree", lineno)
         else:
             raise ParseError("unknown key %r" % key, line=lineno)
 
@@ -674,6 +693,13 @@ def parse_presentation(text: str) -> AlgebraPresentation:
         )
     except PathAlgebraError as exc:
         raise ParseError(str(exc))
+
+
+def _parse_int(text: str, what: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("%s must be an integer, got %r" % (what, text.strip()), line=lineno) from None
 
 
 def _split_list(value: str) -> List[str]:
@@ -707,7 +733,7 @@ def _parse_arrow_spec(tok: str, lineno: int) -> Tuple[str, str, str, int]:
         dd = dd.strip()
         if not (dd.startswith("deg") and dd.endswith(")")):
             raise ParseError("bad arrow degree in %r" % tok, line=lineno)
-        deg = int(dd[3:-1])
+        deg = _parse_int(dd[3:-1], "degree of arrow %r" % nm, lineno)
         rest = rest.strip()
     if "->" not in rest:
         raise ParseError("bad arrow %r (missing '->')" % tok, line=lineno)

@@ -79,6 +79,25 @@ def test_parse_error_exit_code(tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_bad_integers_in_a_presentation_are_usage_errors(tmp_path, capsys):
+    for line in ("gb_degree: x", "params: t (deg x)", "arrows: a: 0 -> 0 (deg y)"):
+        bad = tmp_path / "bad.pres"
+        bad.write_text("params:\nvertices: 0\narrows: b: 0 -> 0\nrelations: b*b\n%s\n" % line)
+        code, _ = invoke(["gb", "--in", str(bad), "--degree", "4"])
+        assert code == EXIT_USAGE
+        assert "must be an integer" in capsys.readouterr().err
+
+
+def test_element_parse_errors_give_the_column(capsys):
+    for element, message in (("a**b", "unexpected token '*' (column 3)"),
+                             ("a*(", "unexpected end of input (column 4)"),
+                             ("(a", "found end of input")):
+        code, _ = invoke(["nf", "--builtin", "laufer", "--element", element])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err and "None" not in err
+
+
 def test_missing_file_exit_code():
     code, _ = invoke(["gb", "--in", "/nonexistent/file.pres", "--degree", "4"])
     assert code == EXIT_USAGE

@@ -259,7 +259,9 @@ def test_reduction_word_cancels_and_reappears():
     assert normal_form(pres.element("x*x - y*u + u*y"), gb) == pres.element("z*z")
 
 
-def test_reduction_computes_each_order_key_once():
+def test_reduction_keys_each_input_word_at_most_once():
+    # pending words are packed integers: only the input words go through
+    # the order's key, and each at most once
     for text, degree, element in ((SINKS, 4, "x - y + u"),
                                   (LAUFER_CON, 12, "(b + c)^6 + c^2*b*c^2"),
                                   (TWO_VERTEX, 6, "a*c*c*b + e1 - c^4")):
@@ -267,9 +269,12 @@ def test_reduction_computes_each_order_key_once():
         gb = truncated_groebner(pres, max_degree=degree)
         counting = _CountingOrder(gb.order)
         terms, _ = _clear_denominators(pres.element(element))
-        got = _reduce_poly_terms(terms, gb._index, pres.quiver, counting, Budget())
+        budget = Budget()
+        got = _reduce_poly_terms(terms, gb._index, pres.quiver, counting, budget)
         assert got == reduce_poly(pres.element(element), gb)
-        assert counting.calls and max(counting.calls.values()) == 1
+        assert budget.steps > 0
+        assert set(counting.calls) <= set(terms)
+        assert max(counting.calls.values()) <= 1
 
 
 def test_idempotent_ties_keep_recorded_order():

@@ -10,6 +10,7 @@ from flopcalc.pathalg import (
     Path,
     MAX_POWER_DEGREE,
     PathAlgebraError,
+    Quiver,
     arrow_path,
     compose,
     element_arith,
@@ -124,6 +125,35 @@ def test_monomial_order_multiplicative_well_founded(l2):
         assert order.key(u) >= order.key(idempotent_path(q, u.source))
 
 
+def test_order_key_digits_order_words_like_rank_tuples():
+    # two vertices, arrows of degree 2, a precedence other than declaration
+    # order; ranks are recomputed here from the precedence list
+    q = Quiver(["0", "1"], [("a", "0", "1"), ("b", "1", "0", 2), ("c", "1", "1"),
+                            ("d", "0", "0", 2), ("f", "1", "1", 2)])
+    precedence = ["c", "f", "a", "d", "b"]
+    order = MonomialOrder(q, precedence)
+    rank = {q.arrow(name).index: len(precedence) - pos for pos, name in enumerate(precedence)}
+
+    def reference(p):
+        return (p.degree, len(p.arrows), tuple(rank[i] for i in p.arrows))
+
+    rng = random.Random(2024)
+    words = [rand_path(rng, q, 7) for _ in range(250)]
+    words += [idempotent_path(q, v) for v in q.vertices]
+    assert any(p.degree > len(p.arrows) for p in words)
+    keys = [order.key(p) for p in words]
+    refs = [reference(p) for p in words]
+    for k1, r1 in zip(keys, refs):
+        for k2, r2 in zip(keys, refs):
+            assert (k1 < k2) == (r1 < r2)
+            assert (k1 == k2) == (r1 == r2)
+    assert sorted(words, key=order.key) == sorted(words, key=reference)
+    # nonempty words have distinct digits; e_v has digits 0
+    assert all((k[2] == 0) == (not p.arrows) for p, k in zip(words, keys))
+    assert len({k[2] for p, k in zip(words, keys) if p.arrows}) == len(
+        {p for p in words if p.arrows})
+
+
 def test_parse_print_identity_on_catalog():
     for name in catalog_names():
         pres = catalog_presentation(name)
@@ -162,6 +192,33 @@ def test_parse_error_reports_line():
         assert "relation" in str(exc)
     else:
         pytest.fail("expected ParseError")
+
+
+@pytest.mark.parametrize("line, what", [
+    ("gb_degree: x", "gb_degree must be an integer, got 'x'"),
+    ("params: t (deg x)", "parameter grading of 't' must be an integer, got 'x'"),
+    ("arrows: a: 0 -> 0 (deg y)", "degree of arrow 'a' must be an integer, got 'y'"),
+])
+def test_parse_rejects_bad_integers_naming_the_line(line, what):
+    text = "params:\nvertices: 0\narrows: b: 0 -> 0\nrelations:\n" + line
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert str(err.value) == "%s (line 5)" % what
+    assert err.value.line == 5
+
+
+@pytest.mark.parametrize("text, message", [
+    ("b**c", "unexpected token '*' (column 3)"),
+    ("b*(", "unexpected end of input (column 4)"),
+    ("(b", "expected ) at position 2, found end of input"),
+    ("b^c", "expected num at position 2, found token 'c'"),
+    ("q*b", "unknown name 'q' (not an arrow, idempotent, or parameter) (column 1)"),
+])
+def test_element_parse_errors_say_where(text, message):
+    pres = parse_presentation("params: t\nvertices: 0\narrows: b: 0 -> 0, c: 0 -> 0\nrelations:")
+    with pytest.raises(ParseError) as err:
+        pres.element(text)
+    assert str(err.value) == message
 
 
 def test_arrow_degree_syntax():
