@@ -38,7 +38,14 @@ from .flops import (
     verify_superpotential,
 )
 from .ncgb import Budget, BudgetExceededError, normal_form, truncated_groebner
-from .pathalg import ParseError, PathAlgebraError, format_presentation, parse_element, parse_presentation
+from .pathalg import (
+    ParseError,
+    PathAlgebraError,
+    _parse_int,
+    format_presentation,
+    parse_element,
+    parse_presentation,
+)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -93,7 +100,7 @@ def _budget(args) -> Budget:
 def _require_heavy(args, length: int):
     if length in HEAVY_LENGTHS and not args.heavy:
         raise PipelineError(
-            "length %d pipelines are heavy (minutes to hours of exact arithmetic); "
+            "length %d pipelines are heavy (seconds to minutes of exact arithmetic); "
             "re-run with --heavy to proceed" % length
         )
 
@@ -260,13 +267,20 @@ def _parse_rep_file(path: str, alg):
                 ring_names = [n.strip() for n in line[5:].split(",") if n.strip()]
             elif line.startswith("dims:"):
                 for part in line[5:].split(","):
-                    v, n = part.split("=")
-                    dims[v.strip()] = int(n)
+                    v, eq, n = part.partition("=")
+                    if not eq:
+                        raise ParseError("dims entry %r is not vertex=dimension"
+                                         % part.strip(), line=lineno)
+                    dims[v.strip()] = _parse_int(n, "dimension of vertex %r" % v.strip(), lineno)
             elif line.startswith("map:"):
-                name, value = line[4:].split("=", 1)
+                name, eq, value = line[4:].partition("=")
+                if not eq:
+                    raise ParseError("map line is not parameter = polynomial", line=lineno)
                 param_map[name.strip()] = value.strip()
             elif line.startswith("matrix"):
-                head, value = line.split(":", 1)
+                head, colon, value = line.partition(":")
+                if not colon:
+                    raise ParseError("matrix line is not matrix <arrow>: [rows]", line=lineno)
                 name = head[len("matrix"):].strip()
                 value = value.strip()
                 if not (value.startswith("[") and value.endswith("]")):

@@ -9,6 +9,9 @@
   off the square matrix C with x.g_i = sum_j C_ij g_j and
   (xI - C)(xI + C) = f I.  Both expansions are unique by freeness, which
   makes P, Q and C canonical and independent of the monomial order.
+  Each is one leading-word echelon solve over Q[params] on the normal
+  forms' words (`_express_in_span`), with all targets of a call sharing
+  one echelon of the columns.
 * Presentations push forward along classifying maps on the parameter ring.
 * Superpotentials are checked by cyclic differentiation plus two-sided
   ideal membership in both directions; explicit chart representations are
@@ -25,7 +28,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .catalog import CheckReport, PipelineData
-from .coeff import MultiPoly, ParamRing, RatFunc, divexact, parse_poly
+from .coeff import MultiPoly, ParamRing, RatFunc, parse_poly
 from .ncgb import (
     Budget,
     GroebnerBasis,
@@ -118,8 +121,7 @@ class _AuxMonomials:
     The corner e0 A e0 and the generator module are free over the
     commutative subring generated by the auxiliary elements, so expanding
     a normal form over these monomial columns has at most one solution;
-    the expansion is found by exact Gaussian elimination over the
-    coefficient field.
+    `_express_in_span` finds it exactly.
     """
 
     def __init__(self, pipe: PipelineData, gb: GroebnerBasis, budget: Budget):
@@ -169,91 +171,92 @@ class _AuxMonomials:
         return elem
 
 
-def _express_in_span(targets, columns, params) -> List[Optional[Dict]]:
+def _express_in_span(targets, columns, params, order: MonomialOrder
+                     ) -> List[Optional[Dict]]:
     """Solve target = sum_k coeff_k * column_k exactly for every target.
 
     Returns one solution per target, or None where that target does not
     lie in the span.  Targets and columns are fraction-free pairs
     (poly terms, scale) with terms = scale * value.  Columns are linearly
-    independent by freeness, so each solution is unique.  The word x column
-    matrix is factored once: the targets ride along as extra right-hand
-    side columns of a single Bareiss fraction-free forward elimination
-    whose pivots are chosen among the real columns only, so every
-    eliminated right-hand side is exactly what a one-target elimination
-    would give.  Only the per-target back substitutions touch rational
-    functions.
+    independent by freeness, so each solution is unique.
+
+    A leading-word echelon over Q[params]: the words are ranked once under
+    `order`, and each column in turn is reduced by the pivots at its
+    leading word until its lead is no pivot's; what is left becomes a
+    pivot, kept with its combination of the original columns.  A pivot
+    with a constant leading coefficient is made monic, so reducing by it
+    is an exact subtraction.  A nonconstant one is used fraction free, as
+    `ncgb` uses a rule with a non-unit lc: the working row, its
+    combination and its scale are multiplied by it first.  A target is
+    reduced the same way from its largest word down; it lies in the span
+    exactly when nothing is left.  A column that reduces to zero depends
+    on the earlier ones and keeps coefficient zero.
+
+    Any total order on the words gives the same answers.  `order` is the
+    basis's, so a column's lead is its normal form's leading word; on the
+    shipped pipelines through length 4 every pivot then has a constant
+    leading coefficient, and the elimination divides no polynomial.
     """
-    words = {}
-    for _, col_terms, _ in columns:
-        for p in col_terms:
-            words.setdefault(p, len(words))
-    # a target with a word outside the columns is not in the span; the
-    # rest ride along as right-hand sides
-    live = [t for t, (t_terms, _) in enumerate(targets)
-            if all(p in words for p in t_terms)]
-    ncols = len(columns)
-    width = ncols + len(live)
-    zero = params.zero()
-    rows = [[zero] * width for _ in range(len(words))]
-    for j, (_, col_terms, _) in enumerate(columns):
-        for p, c in col_terms.items():
-            rows[words[p]][j] = c
-    for k, t in enumerate(live, ncols):
-        for p, c in targets[t][0].items():
-            rows[words[p]][k] = c
+    # idempotents at different vertices share an order key
+    ranked = sorted({p for _, col_terms, _ in columns for p in col_terms},
+                    key=lambda p: (order.key(p), p.source))
+    rank = {p: i for i, p in enumerate(ranked)}
+    one = params.one()
+    pivots: Dict[int, Tuple[Dict[int, MultiPoly], Dict[int, MultiPoly]]] = {}
 
-    pivot_row_of_col = {}
-    r = 0
-    prev = params.one()
-    for j in range(ncols):
-        pv = None
-        for i in range(r, len(rows)):
-            if not rows[i][j].is_zero():
-                pv = i
+    def reduce(row):
+        # row = scale * start + sum_j comb_j * column_j throughout
+        comb: Dict[int, MultiPoly] = {}
+        scale = one
+        while row:
+            w = max(row)
+            pivot = pivots.get(w)
+            if pivot is None:
                 break
-        if pv is None:
-            continue
-        rows[r], rows[pv] = rows[pv], rows[r]
-        piv = rows[r][j]
-        for i in range(r + 1, len(rows)):
-            # a row with a zero entry in column j is still rescaled, for
-            # Bareiss consistency
-            fij = rows[i][j]
-            updated = []
-            for k in range(j, width):
-                val = rows[i][k] * piv
-                if not fij.is_zero():
-                    val = val - fij * rows[r][k]
-                if not (val.is_zero() or prev.is_one()):
-                    val = divexact(val, prev)
-                updated.append(val)
-            rows[i][j:] = updated
-        pivot_row_of_col[j] = r
-        prev = piv
-        r += 1
+            p_row, p_comb = pivot
+            a = -row[w]
+            lc = p_row[w]
+            if not lc.is_one():
+                row = {k: c * lc for k, c in row.items()}
+                comb = {j: c * lc for j, c in comb.items()}
+                scale = scale * lc
+            _add_multiple(row, p_row, a)
+            _add_multiple(comb, p_comb, a)
+        return row, comb, scale
 
-    # rows beyond the pivots have zero column entries by construction; a
-    # target is consistent when its right-hand side vanishes there too
-    out: List[Optional[Dict]] = [None] * len(targets)
-    if any(not rows[i][k].is_zero() for i in range(r, len(rows)) for k in range(ncols)):
-        return out  # a free column below a pivot: cannot happen
-    for k, t in enumerate(live, ncols):
-        if any(not rows[i][k].is_zero() for i in range(r, len(rows))):
+    for j, (_, col_terms, _) in enumerate(columns):
+        row, comb, scale = reduce({rank[p]: c for p, c in col_terms.items()})
+        if not row:
             continue
-        # back substitution over the fraction field (few operations)
-        sol: List[RatFunc] = [RatFunc.coerce(params, 0)] * ncols
-        for j in sorted(pivot_row_of_col, reverse=True):
-            i = pivot_row_of_col[j]
-            acc = RatFunc(rows[i][k])
-            for m in range(j + 1, ncols):
-                if not rows[i][m].is_zero() and not sol[m].is_zero():
-                    acc = acc - RatFunc(rows[i][m]) * sol[m]
-            sol[j] = acc / RatFunc(rows[i][j])
-        scale = RatFunc(targets[t][1])
-        out[t] = {key: sol[j] * RatFunc(col_scale) / scale
-                  for j, (key, _, col_scale) in enumerate(columns)
-                  if not sol[j].is_zero()}
+        comb[j] = scale
+        lead = max(row)
+        if row[lead].is_constant():
+            n, d = row[lead].lead_ratio()
+            row = {k: c.scale(d, n) for k, c in row.items()}
+            comb = {i: c.scale(d, n) for i, c in comb.items()}
+        pivots[lead] = (row, comb)
+
+    out: List[Optional[Dict]] = []
+    for t_terms, t_scale in targets:
+        if any(p not in rank for p in t_terms):
+            out.append(None)
+            continue
+        row, comb, scale = reduce({rank[p]: c for p, c in t_terms.items()})
+        # nothing left: scale * target = -sum_j comb_j * column_j
+        out.append(None if row else {
+            columns[j][0]: RatFunc(-c * columns[j][2], scale * t_scale)
+            for j, c in comb.items()})
     return out
+
+
+def _add_multiple(acc: Dict[int, MultiPoly], vec: Dict[int, MultiPoly], a: MultiPoly):
+    """acc += a * vec in place, dropping the entries that cancel."""
+    for k, c in vec.items():
+        s = acc[k] + a * c if k in acc else a * c
+        if s.is_zero():
+            del acc[k]
+        else:
+            acc[k] = s
 
 
 def _nice_substitution(source, aux_names):
@@ -321,7 +324,7 @@ def hypersurface(source, gb_degree: Optional[int] = None, basis: str = "raw",
         if terms:
             columns.append((("P", m), terms, scale))
 
-    solution, = _express_in_span([square], columns, pres.params)
+    solution, = _express_in_span([square], columns, pres.params, gb.order)
     if solution is None:
         raise TruncationInsufficientError(
             "NF(x'^2) does not expand over the central monomials at truncation "
@@ -433,8 +436,8 @@ def matrix_factorization(source, gb_degree: Optional[int] = None, basis: str = "
 
     Each NF(x . g_i) is expanded over the module basis {m g_j} (auxiliary
     monomial times generator, unique by freeness).  The module basis is one
-    column matrix for all 2l rows of C, so it is factored once and the 2l
-    images are solved as right-hand sides of that one elimination.
+    column matrix for all 2l rows of C, so it is echelonised once and the
+    2l images are reduced against that one echelon.
     C^2 = g I is checked exactly before returning.
     """
     if basis == "nice":
@@ -487,7 +490,7 @@ def matrix_factorization(source, gb_degree: Optional[int] = None, basis: str = "
 
     n = len(gen_paths)
     images = [reduce_poly(x * g_el, gb, budget) for g_el in gen_nfs]
-    solutions = _express_in_span(images, columns, pres.params)
+    solutions = _express_in_span(images, columns, pres.params, gb.order)
     C: List[List[MultiPoly]] = [[ring.zero() for _ in range(n)] for _ in range(n)]
     for i, solution in enumerate(solutions):
         if solution is None:

@@ -214,6 +214,19 @@ def test_verify_rep_chart():
     assert "pass: true" in out
 
 
+def test_malformed_rep_files_are_usage_errors_naming_the_line(tmp_path, capsys):
+    for text, message in (("ring: t\ndims: 0=x\n", "dimension of vertex '0' must be an integer"),
+                          ("ring: t\ndims: 0=1, 1\n", "dims entry '1' is not vertex=dimension"),
+                          ("ring: t\ndims: 0=1\nmap: t\n", "map line is not"),
+                          ("matrix a [1]\n", "matrix line is not")):
+        rep = tmp_path / "bad.rep"
+        rep.write_text(text)
+        code, _ = invoke(["verify-rep", "--builtin", "laufer", "--rep", str(rep)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err and "(line %d)" % text.count("\n") in err
+
+
 def test_superpotential_builtin():
     code, out = invoke(["superpotential", "--builtin", "laufer-nccr"])
     assert code == EXIT_OK

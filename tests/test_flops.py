@@ -81,15 +81,15 @@ def test_length2_nice_equation(l2_nice_hyp):
 
 def test_nice_mf_reuses_the_raw_hypersurface(monkeypatch):
     # one span solve for the hypersurface and one for the factorisation,
-    # which carries all 2l = 4 generator images as right-hand sides of one
-    # factored column matrix; the raw hypersurface is not solved twice
+    # which reduces all 2l = 4 generator images against one echelon of the
+    # columns; the raw hypersurface is not solved twice
     from flopcalc import flops
     targets_per_call = []
     solve = flops._express_in_span
 
-    def counting(targets, columns, params):
+    def counting(targets, columns, params, order):
         targets_per_call.append(len(targets))
-        return solve(targets, columns, params)
+        return solve(targets, columns, params, order)
 
     monkeypatch.setattr(flops, "_express_in_span", counting)
     entry = universal_flopping_algebra(2)
@@ -100,7 +100,7 @@ def test_nice_mf_reuses_the_raw_hypersurface(monkeypatch):
 
 
 def _reference_express(target, columns, params):
-    """One-target Bareiss solve: the reference that the factored solve must
+    """One-target Bareiss solve: the reference that `_express_in_span` must
     match for each of its targets."""
     t_terms, t_scale = target
     words = {}
@@ -175,19 +175,19 @@ def test_factored_span_solve_matches_one_solve_per_target(monkeypatch, name):
     calls = []
     solve = flops._express_in_span
 
-    def capturing(targets, columns, params):
-        calls.append((list(targets), columns, params))
-        return solve(targets, columns, params)
+    def capturing(targets, columns, params, order):
+        calls.append((list(targets), columns, params, order))
+        return solve(targets, columns, params, order)
 
     monkeypatch.setattr(flops, "_express_in_span", capturing)
     entry = universal_flopping_algebra(2) if name == "universal-2" else builtins()[name]
     matrix_factorization(entry)
     monkeypatch.undo()
-    images, columns, params = calls[-1]
+    images, columns, params, order = calls[-1]
     assert len(images) == 4
     want = [_reference_express(t, columns, params) for t in images]
     assert all(w is not None for w in want)
-    assert solve(images, columns, params) == want
+    assert solve(images, columns, params, order) == want
 
     column_words = {p for _, col_terms, _ in columns for p in col_terms}
     # a word outside the columns: the longest column word times one arrow
@@ -198,14 +198,14 @@ def test_factored_span_solve_matches_one_solve_per_target(monkeypatch, name):
     assert outside not in column_words
     terms, scale = images[0]
     stray = ({**terms, outside: params.one()}, scale)
-    # a lone column word outside the span: every word is a row, but its
-    # eliminated right-hand side is nonzero below the pivots
+    # a lone column word outside the span: every word of it is a column
+    # word, yet reducing it leaves a lead that no pivot has
     singles = [({p: params.one()}, params.one()) for p in
                sorted(column_words, key=lambda p: (p.degree, p.source, p.arrows),
                       reverse=True)]
     lone = next(t for t in singles if _reference_express(t, columns, params) is None)
     mixed = [stray, images[0], lone] + images[1:]
-    got = solve(mixed, columns, params)
+    got = solve(mixed, columns, params, order)
     assert got == [None, want[0], None] + want[1:]
     assert _reference_express(stray, columns, params) is None
 
