@@ -5,9 +5,10 @@ R_l = H_l[x, y, z]/(f) with f = x^2 - g; the rank-l module N gives a
 2l x 2l matrix C with x . g_i = sum C_ij g_j and C^2 = g I exactly, so
 (xI - C)(xI + C) = f I.
 
-Lengths 4-6 run the same pipeline but are heavy (see the README for
-measured times; no compact closed form exists); use the CLI with --heavy
-and generous budgets, and rely on the C^2 = g I contract.
+Lengths 4-6 run the same pipeline and take seconds to minutes (see the
+README for measured times; no compact closed form exists); use the CLI,
+with a larger --budget where the default step budget runs out, and rely on
+the C^2 = g I contract.
 """
 
 from flopcalc import hypersurface, matrix_factorization, universal_flopping_algebra

@@ -241,7 +241,7 @@ class FlopCatalogEntry:
 
     def __init__(self, length: int, coloring: Coloring, presentation_text: str,
                  central_fibre_text: str, central_fibre_map: Dict[str, str],
-                 xyz: Tuple[Optional[str], str, str], generators: List[str],
+                 x: str, aux: Sequence[Tuple[str, str]], generators: List[str],
                  invariants: InvariantData, pipeline_gb_degree: int,
                  nice_param_map: Optional[Dict[str, str]] = None,
                  nice_vars: Optional[Tuple[str, ...]] = None):
@@ -251,7 +251,8 @@ class FlopCatalogEntry:
         self._presentation_text = presentation_text
         self._central_fibre_text = central_fibre_text
         self.central_fibre_map = central_fibre_map
-        self.xyz = xyz  # (x' path text or None for length 1, y text, z text)
+        self.x_text = x
+        self.aux_texts = aux
         self.generator_texts = list(generators)
         self.invariants = invariants
         self.pipeline_gb_degree = pipeline_gb_degree
@@ -273,29 +274,16 @@ class FlopCatalogEntry:
 
     # -- pipeline presentations -------------------------------------------
 
-    def pipeline(self, basis: str = "raw") -> "PipelineData":
+    def pipeline(self) -> "PipelineData":
         """The pure presentation plus the commuting generator elements.
 
         The change to a recorded nice basis (length 2) is a substitution on
         pipeline outputs and is handled downstream; the presentation here
-        is always the raw one.
+        is always the raw one, truncated at the pipeline degree.
         """
-        if basis not in ("raw", "nice"):
-            raise CatalogError("unknown basis %r" % basis)
-        if basis == "nice" and self.nice_param_map is None:
-            raise CatalogError("no recorded nice basis for length %d" % self.length)
         pres = self.presentation()
         pres.gb_degree = self.pipeline_gb_degree
-        if self.length == 1:
-            x_elem = pres.element("(1/2)*a0*a1 - (1/2)*A1*A0")
-            aux = [("z", pres.element("a0*A0")),
-                   ("w", pres.element("(1/2)*a0*a1 + (1/2)*A1*A0"))]
-        else:
-            x_elem = pres.element(self.xyz[0])
-            aux = [("z", pres.element(self.xyz[2])), ("y", pres.element(self.xyz[1]))]
-        gens = [parse_element(g, pres.quiver, pres.params) for g in self.generator_texts]
-        return PipelineData(self, pres, x_elem, aux, gens,
-                            pres.gb_degree or self.pipeline_gb_degree)
+        return PipelineData(self, pres, self.x_text, self.aux_texts, self.generator_texts)
 
     def __repr__(self):
         return "FlopCatalogEntry(length=%d, %s)" % (self.length, self.coloring)
@@ -304,18 +292,20 @@ class FlopCatalogEntry:
 class PipelineData:
     """Inputs for the hypersurface / matrix factorization pipeline.
 
-    `aux` lists the commuting central generators (name, element); words
-    are weighted by the loop grading (loop arrows weigh 2, the rest 1),
-    which bounds the auxiliary monomials a normal form can involve.
+    Parses, over `presentation`, the element x', the commuting central
+    generators `aux` (name, text) and the module generators.  The Groebner
+    basis is truncated at `presentation.gb_degree` unless a caller gives a
+    degree.  Words are weighted by the loop grading (loop arrows weigh 2,
+    the rest 1), which bounds the auxiliary monomials a normal form can
+    involve.
     """
 
-    def __init__(self, entry, presentation, x_elem, aux, generators, gb_degree):
+    def __init__(self, entry, presentation, x_text, aux_texts, generator_texts):
         self.entry = entry
         self.presentation = presentation
-        self.x_elem = x_elem
-        self.aux = aux
-        self.generators = generators
-        self.gb_degree = gb_degree
+        self.x_elem = presentation.element(x_text)
+        self.aux = [(name, presentation.element(text)) for name, text in aux_texts]
+        self.generators = [presentation.element(text) for text in generator_texts]
         quiver = presentation.quiver
         self._weights = tuple(
             1 if a.source != a.target else 2 for a in quiver.arrows
@@ -574,14 +564,15 @@ _ENTRY_SPECS = {
     1: dict(
         diagram="A1", black=1, text=_L1_TEXT, cf=_CF1_TEXT,
         cf_map={},
-        xyz=(None, "A1*A0", "a0*A0"),
+        x="(1/2)*a0*a1 - (1/2)*A1*A0",
+        aux=(("z", "a0*A0"), ("w", "(1/2)*a0*a1 + (1/2)*A1*A0")),
         generators=["a0", "A1"],
         gb_degree=6,
     ),
     2: dict(
         diagram="D4", black=4, text=_L2_TEXT, cf=_CF2_TEXT,
         cf_map={"d": "-(A*a + b + c)"},
-        xyz=("a*b*c*A", "a*c*A", "a*b*A"),
+        x="a*b*c*A", aux=(("z", "a*b*A"), ("y", "a*c*A")),
         generators=["a", "a*b", "a*c", "a*b*c"],
         gb_degree=12,
         nice_map=_L2_NICE_MAP,
@@ -590,14 +581,14 @@ _ENTRY_SPECS = {
     3: dict(
         diagram="E6", black=6, text=_L3_TEXT, cf=_CF3_TEXT,
         cf_map={"d": "-(b + c)"},
-        xyz=("a*c^2*b*c*A", "a*c^2*A", "a*c*A"),
+        x="a*c^2*b*c*A", aux=(("z", "a*c*A"), ("y", "a*c^2*A")),
         generators=["a", "a*c", "a*c^2", "a*c*b", "a*c^2*b", "a*c^2*b*c"],
         gb_degree=8,
     ),
     4: dict(
         diagram="E7", black=7, text=_L4_TEXT, cf=_CF4_TEXT,
         cf_map={"d": "-(b + c)"},
-        xyz=("a*c^3*b*c^2*A", "a*c^3*A", "a*c*A"),
+        x="a*c^3*b*c^2*A", aux=(("z", "a*c*A"), ("y", "a*c^3*A")),
         generators=["a", "a*c", "a*c^2", "a*c^3", "a*c^2*b", "a*c^3*b",
                     "a*c^3*b*c", "a*c^3*b*c^2"],
         gb_degree=12,
@@ -605,15 +596,16 @@ _ENTRY_SPECS = {
     5: dict(
         diagram="E8", black=4, text=_L5_TEXT, cf=_CF5_TEXT,
         cf_map={"d": "b"},
-        xyz=("a*c^3*b*c^2*A", "a*c^3*A", "a*c*A"),
+        x="a*c^3*b*c^2*A", aux=(("z", "a*c*A"), ("y", "a*c^3*A")),
         generators=["a", "a*c", "a*c^2", "a*c*b", "a*c^3", "a*c^2*b",
                     "a*c^3*b", "a*c^3*b*c", "a*c^3*b^2", "a*c^3*b*c^2"],
-        gb_degree=12,
+        # at 12, NF(x'^2) is not in the span of the central monomial columns
+        gb_degree=14,
     ),
     6: dict(
         diagram="E8", black=8, text=_L6_TEXT, cf=_CF6_TEXT,
         cf_map={"d": "-(b + c)"},
-        xyz=("a*c^2*b*c^2*b*c*b*c^2*A", "a*c^2*b*c^2*A", "a*c*A"),
+        x="a*c^2*b*c^2*b*c*b*c^2*A", aux=(("z", "a*c*A"), ("y", "a*c^2*b*c^2*A")),
         generators=["a", "a*c", "a*c^2", "a*c^2*b", "a*c^2*b*c", "a*c^2*b*c^2",
                     "a*c^2*b*c*b", "a*c^2*b*c^2*b", "a*c^2*b*c^2*b*c",
                     "a*c^2*b*c^2*b*c*b", "a*c^2*b*c^2*b*c*b*c",
@@ -631,7 +623,7 @@ def universal_flopping_algebra(length: int) -> FlopCatalogEntry:
         raise CatalogError("length must be 1..6, got %r" % (length,))
     coloring = Coloring(DIAGRAMS[spec["diagram"]], spec["black"], length)
     return FlopCatalogEntry(
-        length, coloring, spec["text"], spec["cf"], spec["cf_map"], spec["xyz"],
+        length, coloring, spec["text"], spec["cf"], spec["cf_map"], spec["x"], spec["aux"],
         spec["generators"], _INV[length], spec["gb_degree"],
         nice_param_map=spec.get("nice_map"), nice_vars=spec.get("nice_vars"),
     )
@@ -828,13 +820,14 @@ class Builtin:
     """A named specialized presentation with optional extras for tests."""
 
     def __init__(self, name, text, superpotential=None, expected=None, note="",
-                 xyz=None, generators=None, eliminated=None):
+                 x=None, aux=None, generators=None, eliminated=None):
         self.name = name
         self.text = text
         self.superpotential = superpotential
         self.expected = expected or {}
         self.note = note
-        self.xyz = xyz
+        self.x_text = x
+        self.aux_texts = aux
         self.generators = generators
         # name of the parameter-eliminated twin to use for contractions
         self.eliminated = eliminated
@@ -846,14 +839,11 @@ class Builtin:
         pres = self.presentation()
         return parse_element(self.superpotential, pres.quiver, pres.params)
 
-    def pipeline(self, basis: str = "raw") -> PipelineData:
-        if self.xyz is None:
+    def pipeline(self) -> PipelineData:
+        if self.x_text is None:
             raise CatalogError("builtin %r has no pipeline data" % self.name)
-        pres = self.presentation()
-        x_elem = pres.element(self.xyz[0])
-        aux = [("z", pres.element(self.xyz[2])), ("y", pres.element(self.xyz[1]))]
-        gens = [parse_element(g, pres.quiver, pres.params) for g in self.generators]
-        return PipelineData(self, pres, x_elem, aux, gens, pres.gb_degree)
+        return PipelineData(self, self.presentation(), self.x_text, self.aux_texts,
+                            self.generators)
 
 
 def builtins() -> Dict[str, Builtin]:
@@ -862,7 +852,7 @@ def builtins() -> Dict[str, Builtin]:
             "laufer", _LAUFER_TEXT,
             expected={"specializes": 2, "map": {"u": "y", "v": "0", "w": "-t"}},
             note="Laufer flop: length-2 specialization with w=-t, u=y, v=0",
-            xyz=("a*b*c*A", "a*c*A", "a*b*A"),
+            x="a*b*c*A", aux=(("z", "a*b*A"), ("y", "a*c*A")),
             generators=["a", "a*b", "a*c", "a*b*c"],
             eliminated="laufer-nccr",
         ),
@@ -877,7 +867,7 @@ def builtins() -> Dict[str, Builtin]:
         "length-3-example": Builtin(
             "length-3-example", _L3_EXAMPLE_TEXT,
             note="explicit length-3 flop with recorded hypersurface and 6x6 factorization",
-            xyz=("a*c^2*b*c*A", "a*c^2*A", "a*c*A"),
+            x="a*c^2*b*c*A", aux=(("z", "a*c*A"), ("y", "a*c^2*A")),
             generators=["a", "a*c", "a*c^2", "a*c*b", "a*c^2*b", "a*c^2*b*c"],
         ),
         "length-5-nccr": Builtin(

@@ -52,8 +52,6 @@ EXIT_DOMAIN = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
 
-HEAVY_LENGTHS = (4, 5, 6)
-
 
 class _Out:
     """Collects either text lines or structured records deterministically."""
@@ -97,22 +95,12 @@ def _budget(args) -> Budget:
     return Budget(getattr(args, "budget", None))
 
 
-def _require_heavy(args, length: int):
-    if length in HEAVY_LENGTHS and not args.heavy:
-        raise PipelineError(
-            "length %d pipelines are heavy (seconds to minutes of exact arithmetic); "
-            "re-run with --heavy to proceed" % length
-        )
-
-
 def _pipeline_source(args):
     if getattr(args, "length", None):
-        entry = universal_flopping_algebra(args.length)
-        _require_heavy(args, args.length)
-        return entry
+        return universal_flopping_algebra(args.length)
     if getattr(args, "builtin", None):
         b = builtins().get(args.builtin)
-        if b is None or b.xyz is None:
+        if b is None or b.x_text is None:
             raise CatalogError("builtin %r has no pipeline data" % args.builtin)
         return b
     raise ParseError("one of --length or --builtin is required")
@@ -129,6 +117,8 @@ def cmd_catalog(args, out: _Out):
             else:
                 out.text(name)
         return
+    if args.name is None:
+        raise ParseError("catalog show needs a name (see catalog list)")
     pres = catalog_presentation(args.name)
     text = format_presentation(pres)
     if args.out:
@@ -195,21 +185,53 @@ def cmd_mf(args, out: _Out):
             out.both("row%d" % i, "[" + ", ".join(format_poly(e) for e in row) + "]")
 
 
-def _parse_map_file(path: str):
-    ring_names = None
-    entries = []
+def _content_lines(path: str):
+    """(line number, content, offset) for each line of a file that is not
+    blank once its comment is cut; `offset` is where the content starts."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("ring:"):
-                ring_names = [n.strip() for n in line[5:].split(",") if n.strip()]
-                continue
-            if "=" not in line:
-                raise ParseError("bad map line %r" % line, line=lineno)
-            name, value = line.split("=", 1)
-            entries.append((name.strip(), value.strip()))
+            body = raw.split("#", 1)[0]
+            if body.strip():
+                yield lineno, body.strip(), len(body) - len(body.lstrip())
+
+
+def _stripped(text: str, start: int):
+    """`text` stripped, and its offset in the line given that `text` starts
+    at offset `start`."""
+    return text.strip(), start + len(text) - len(text.lstrip())
+
+
+def _split(text: str, sep: str, start: int):
+    """The stripped parts of `text` between the `sep`s, with their offsets."""
+    out = []
+    for part in text.split(sep):
+        out.append(_stripped(part, start))
+        start += len(part) + len(sep)
+    return out
+
+
+def _parse_value(text: str, ring: ParamRing, lineno: int, start: int):
+    """Parse a polynomial that starts at offset `start` of line `lineno`."""
+    try:
+        return parse_poly(text, ring)
+    except CoeffError as exc:
+        column = None if exc.position is None else start + exc.position + 1
+        raise ParseError(str(exc), line=lineno, column=column)
+
+
+def _parse_map_file(path: str):
+    """(ring names or None, [(parameter, value text, line number, offset)])."""
+    ring_names = None
+    entries = []
+    for lineno, line, offset in _content_lines(path):
+        if line.startswith("ring:"):
+            ring_names = [n.strip() for n in line[5:].split(",") if n.strip()]
+            continue
+        if "=" not in line:
+            raise ParseError("bad map line %r" % line, line=lineno)
+        name, value = line.split("=", 1)
+        value, at = _stripped(value, offset + len(name) + 1)
+        entries.append((name.strip(), value, lineno, at))
     return ring_names, entries
 
 
@@ -217,10 +239,10 @@ def cmd_specialize(args, out: _Out):
     pres = _load_presentation(args)
     ring_names, entries = _parse_map_file(args.map)
     if ring_names is None:
-        keep = [n for n in pres.params.names if n not in {k for k, _ in entries}]
-        ring_names = keep
+        mapped = {k for k, _, _, _ in entries}
+        ring_names = [n for n in pres.params.names if n not in mapped]
     ring = ParamRing(ring_names)
-    mapping = {k: parse_poly(v, ring) for k, v in entries}
+    mapping = {k: _parse_value(v, ring, lineno, at) for k, v, lineno, at in entries}
     result = specialize(pres, mapping, ring)
     text = format_presentation(result)
     if args.out:
@@ -256,40 +278,45 @@ def cmd_superpotential(args, out: _Out):
 def _parse_rep_file(path: str, alg):
     ring_names: List[str] = []
     dims = {}
-    param_map = {}
-    matrices = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("ring:"):
-                ring_names = [n.strip() for n in line[5:].split(",") if n.strip()]
-            elif line.startswith("dims:"):
-                for part in line[5:].split(","):
-                    v, eq, n = part.partition("=")
-                    if not eq:
-                        raise ParseError("dims entry %r is not vertex=dimension"
-                                         % part.strip(), line=lineno)
-                    dims[v.strip()] = _parse_int(n, "dimension of vertex %r" % v.strip(), lineno)
-            elif line.startswith("map:"):
-                name, eq, value = line[4:].partition("=")
+    param_texts = {}  # parameter -> (line number, value text, offset)
+    matrix_texts = {}  # arrow -> (line number, rows of (entry text, offset))
+    for lineno, line, offset in _content_lines(path):
+        if line.startswith("ring:"):
+            ring_names = [n.strip() for n in line[5:].split(",") if n.strip()]
+        elif line.startswith("dims:"):
+            for part in line[5:].split(","):
+                v, eq, n = part.partition("=")
                 if not eq:
-                    raise ParseError("map line is not parameter = polynomial", line=lineno)
-                param_map[name.strip()] = value.strip()
-            elif line.startswith("matrix"):
-                head, colon, value = line.partition(":")
-                if not colon:
-                    raise ParseError("matrix line is not matrix <arrow>: [rows]", line=lineno)
-                name = head[len("matrix"):].strip()
-                value = value.strip()
-                if not (value.startswith("[") and value.endswith("]")):
-                    raise ParseError("matrix rows must be bracketed", line=lineno)
-                rows = [r.strip() for r in value[1:-1].split(";")]
-                matrices[name] = [[e.strip() for e in r.split(",")] for r in rows]
-            else:
-                raise ParseError("unknown rep line %r" % line, line=lineno)
+                    raise ParseError("dims entry %r is not vertex=dimension"
+                                     % part.strip(), line=lineno)
+                dims[v.strip()] = _parse_int(n, "dimension of vertex %r" % v.strip(), lineno)
+        elif line.startswith("map:"):
+            name, eq, value = line[4:].partition("=")
+            if not eq:
+                raise ParseError("map line is not parameter = polynomial", line=lineno)
+            param_texts[name.strip()] = (lineno,) + _stripped(value, offset + 5 + len(name))
+        elif line.startswith("matrix"):
+            head, colon, value = line.partition(":")
+            if not colon:
+                raise ParseError("matrix line is not matrix <arrow>: [rows]", line=lineno)
+            name = head[len("matrix"):].strip()
+            value, at = _stripped(value, offset + len(head) + 1)
+            if not (value.startswith("[") and value.endswith("]")):
+                raise ParseError("matrix rows must be bracketed", line=lineno)
+            rows = [_split(r, ",", r_at) for r, r_at in _split(value[1:-1], ";", at + 1)]
+            if len({len(r) for r in rows}) > 1:
+                raise ParseError("matrix %s has rows of different lengths" % name, line=lineno)
+            matrix_texts[name] = (lineno, rows)
+        else:
+            raise ParseError("unknown rep line %r" % line, line=lineno)
+    for v in alg.quiver.vertices:
+        if v not in dims:
+            raise ParseError("dims: gives no dimension for vertex %r" % v)
     ring = ParamRing(ring_names)
+    param_map = {k: _parse_value(text, ring, lineno, at)
+                 for k, (lineno, text, at) in param_texts.items()}
+    matrices = {k: [[_parse_value(text, ring, lineno, at) for text, at in row] for row in rows]
+                for k, (lineno, rows) in matrix_texts.items()}
     return Representation(alg, dims, matrices, ring, param_map)
 
 
@@ -299,8 +326,10 @@ def cmd_verify_rep(args, out: _Out):
         chart = LENGTH2_CHARTS[args.chart]
         rep = Representation(pres, chart["dims"], chart["matrices"],
                              ParamRing(chart["ring"]), chart["param_map"])
-    else:
+    elif args.rep:
         rep = _parse_rep_file(args.rep, pres)
+    else:
+        raise ParseError("one of --rep or --chart is required")
     report = verify_representation(pres, rep)
     out.record("verify-rep")
     out.both("pass", "true" if report.ok else "false")
@@ -369,8 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--builtin", default=None)
             sp.add_argument("--nice-basis", action="store_true",
                             help="apply the recorded change of basis (length 2; default: raw)")
-            sp.add_argument("--heavy", action="store_true",
-                            help="allow the heavy length 4-6 pipelines")
         if presentation:
             sp.add_argument("--in", dest="infile", default=None, help="presentation file")
             sp.add_argument("--builtin", default=None, help="catalog name instead of a file")

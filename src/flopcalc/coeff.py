@@ -33,7 +33,14 @@ _MASK = (1 << _FIELD) - 1
 
 
 class CoeffError(ValueError):
-    """Raised for malformed coefficient-level input (bad names, syntax)."""
+    """Raised for malformed coefficient-level input (bad names, syntax).
+
+    `position` is the offset (from 0) of a syntax error in the parsed text.
+    """
+
+    def __init__(self, message, position=None):
+        super().__init__(message)
+        self.position = position
 
 
 class DivisionByZeroError(ZeroDivisionError):
@@ -449,7 +456,7 @@ def tokenize_poly(text: str) -> List[_Tok]:
                     k += 1
                 den = int(text[j + 1:k])
                 if not den:
-                    raise CoeffError("zero denominator at position %d" % (j + 1))
+                    raise CoeffError("zero denominator at position %d" % (j + 1), j + 1)
                 toks.append(_Tok("num", Fraction(int(text[i:j]), den), i))
                 i = k
             else:
@@ -463,7 +470,7 @@ def tokenize_poly(text: str) -> List[_Tok]:
             toks.append(_Tok("name", text[i:j], i))
             i = j
             continue
-        raise CoeffError("unexpected character %r at position %d" % (ch, i))
+        raise CoeffError("unexpected character %r at position %d" % (ch, i), i)
     toks.append(_Tok("end", None, n))
     return toks
 
@@ -482,7 +489,8 @@ class _PolyParser:
     def take(self, kind=None):
         t = self.toks[self.i]
         if kind is not None and t.kind != kind:
-            raise CoeffError("expected %s at position %d, found %s" % (kind, t.pos, t.describe()))
+            raise CoeffError("expected %s at position %d, found %s" % (kind, t.pos, t.describe()),
+                             t.pos)
         self.i += 1
         return t
 
@@ -490,7 +498,7 @@ class _PolyParser:
         p = self.expr()
         if self.peek().kind != "end":
             t = self.peek()
-            raise CoeffError("trailing input at position %d: %r" % (t.pos, t.value))
+            raise CoeffError("trailing input at position %d: %r" % (t.pos, t.value), t.pos)
         return p
 
     def expr(self) -> MultiPoly:
@@ -520,7 +528,8 @@ class _PolyParser:
             self.take()
             neg = False
             if self.peek().kind == "-":
-                raise CoeffError("negative exponent at position %d" % self.peek().pos)
+                pos = self.peek().pos
+                raise CoeffError("negative exponent at position %d" % pos, pos)
             e = self.take("num").value
             if e.denominator != 1 or neg:
                 raise CoeffError("exponents must be nonnegative integers")
@@ -540,7 +549,7 @@ class _PolyParser:
             p = self.expr()
             self.take(")")
             return p
-        raise CoeffError("unexpected %s at position %d" % (t.describe(), t.pos))
+        raise CoeffError("unexpected %s at position %d" % (t.describe(), t.pos), t.pos)
 
 
 def parse_poly(text: str, ring: ParamRing) -> MultiPoly:

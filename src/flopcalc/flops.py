@@ -90,29 +90,16 @@ class Hypersurface:
         self.raw: Optional[Hypersurface] = None
         self.basis_map = None
 
-    @property
-    def f(self) -> MultiPoly:
-        return self.equation
-
-    def variables(self) -> Tuple[str, ...]:
-        return self.ring.names
-
     def __repr__(self):
         return "Hypersurface(f = %s)" % self.equation
 
 
-def _pipeline_of(source, basis: str = "raw") -> PipelineData:
+def _pipeline_of(source) -> PipelineData:
     if isinstance(source, PipelineData):
         return source
     if hasattr(source, "pipeline"):
-        return source.pipeline(basis)
+        return source.pipeline()
     raise PipelineError("expected a catalog entry or PipelineData, got %r" % (source,))
-
-
-def pipeline_groebner(pipe: PipelineData, gb_degree: Optional[int] = None,
-                      budget: Optional[Budget] = None) -> GroebnerBasis:
-    degree = gb_degree if gb_degree is not None else pipe.gb_degree
-    return truncated_groebner(pipe.presentation, None, degree, budget)
 
 
 class _AuxMonomials:
@@ -269,9 +256,44 @@ def _nice_substitution(source, aux_names):
     return ring, mapping
 
 
+def _expand(targets, module, aux: _AuxMonomials, gb: GroebnerBasis, budget: Budget,
+            missing: str) -> List[Dict]:
+    """Expand each target's normal form over a free module on the subring.
+
+    `module` lists the generators as (key, normal form, weight bound); the
+    columns are NF(m * generator) over the auxiliary monomials m up to the
+    bound, generator by generator.  Returns one {key: polynomial in the
+    auxiliary variables} per target, with every key present.  A target
+    outside the span raises TruncationInsufficientError with the message
+    `missing` % {"i": target index, "degree": truncation, "next": degree + 2}.
+    """
+    columns = []
+    for key, nf, bound in module:
+        for m in aux.monomials(bound):
+            terms, scale = reduce_poly(aux.monomial_element(m) * nf, gb, budget)
+            if terms:
+                columns.append(((key, m), terms, scale))
+    images = [reduce_poly(t, gb, budget) for t in targets]
+    solutions = _express_in_span(images, columns, aux.pipe.presentation.params, gb.order)
+    ring = aux.ring
+    out = []
+    for i, solution in enumerate(solutions):
+        if solution is None:
+            degree = gb.truncation_degree
+            raise TruncationInsufficientError(
+                missing % {"i": i, "degree": degree, "next": degree + 2},
+                needed_degree=degree + 2)
+        polys = {key: ring.zero() for key, _, _ in module}
+        for (key, m), coeff in solution.items():
+            if not coeff.is_polynomial():
+                raise PipelineError("non-polynomial expansion coefficient %s" % coeff)
+            polys[key] = polys[key] + coeff.as_poly().cast(ring) * aux.monomial_poly(m)
+        out.append(polys)
+    return out
+
+
 def hypersurface(source, gb_degree: Optional[int] = None, basis: str = "raw",
-                 budget: Optional[Budget] = None,
-                 gb: Optional[GroebnerBasis] = None) -> Hypersurface:
+                 budget: Optional[Budget] = None) -> Hypersurface:
     """Recover the hypersurface equation of the center from the pipeline.
 
     Computes NF(x'^2) and expands it over the monomials in the auxiliary
@@ -282,9 +304,10 @@ def hypersurface(source, gb_degree: Optional[int] = None, basis: str = "raw",
     Raises TruncationInsufficientError (with a degree hint) when the
     expansion fails at this truncation.
     """
+    if basis not in ("raw", "nice"):
+        raise PipelineError("unknown basis %r" % (basis,))
     if basis == "nice":
-        raw = hypersurface(source, gb_degree=gb_degree, basis="raw",
-                           budget=budget, gb=gb)
+        raw = hypersurface(source, gb_degree=gb_degree, budget=budget)
         aux = raw.aux_elements
         ring, mapping = _nice_substitution(source, aux.names)
         hyp = Hypersurface(raw.pipeline, raw.gb,
@@ -294,11 +317,10 @@ def hypersurface(source, gb_degree: Optional[int] = None, basis: str = "raw",
         hyp.raw = raw
         hyp.basis_map = (ring, mapping)
         return hyp
-    pipe = _pipeline_of(source, basis)
+    pipe = _pipeline_of(source)
     budget = budget or Budget()
-    if gb is None:
-        gb = pipeline_groebner(pipe, gb_degree, budget)
     pres = pipe.presentation
+    gb = truncated_groebner(pres, None, gb_degree, budget)
     x_prime = pipe.x_elem
 
     ep = x_prime.endpoints()
@@ -309,40 +331,11 @@ def hypersurface(source, gb_degree: Optional[int] = None, basis: str = "raw",
 
     aux = _AuxMonomials(pipe, gb, budget)
     xw = pipe.graded_degree_element(x_prime)
-    bound = 2 * xw
-
-    x_nf = reduce_element(x_prime, gb, budget)
-    square = reduce_poly(x_prime * x_prime, gb, budget)
-
-    columns = []
-    for m in aux.monomials(bound):
-        terms, scale = reduce_poly(aux.monomial_element(m) * e0_elem, gb, budget)
-        if terms:
-            columns.append((("Q", m), terms, scale))
-    for m in aux.monomials(bound - xw):
-        terms, scale = reduce_poly(aux.monomial_element(m) * x_nf, gb, budget)
-        if terms:
-            columns.append((("P", m), terms, scale))
-
-    solution, = _express_in_span([square], columns, pres.params, gb.order)
-    if solution is None:
-        raise TruncationInsufficientError(
-            "NF(x'^2) does not expand over the central monomials at truncation "
-            "degree %d; try %d" % (gb.truncation_degree, gb.truncation_degree + 2),
-            needed_degree=gb.truncation_degree + 2,
-        )
-
-    ring = aux.ring
-    P = ring.zero()
-    Q = ring.zero()
-    for (kind, m), coeff in sorted(solution.items()):
-        if not coeff.is_polynomial():
-            raise PipelineError("non-polynomial expansion coefficient %s" % coeff)
-        term = coeff.as_poly().cast(ring) * aux.monomial_poly(m)
-        if kind == "P":
-            P = P + term
-        else:
-            Q = Q + term
+    module = [("Q", e0_elem, 2 * xw), ("P", reduce_element(x_prime, gb, budget), xw)]
+    (expansion,) = _expand([x_prime * x_prime], module, aux, gb, budget,
+                           "NF(x'^2) does not expand over the central monomials at "
+                           "truncation degree %(degree)d; try %(next)d")
+    P, Q = expansion["P"], expansion["Q"]
 
     # center: x := x' - P/2 with the auxiliary variables substituted back
     # by their defining elements
@@ -351,7 +344,7 @@ def hypersurface(source, gb_degree: Optional[int] = None, basis: str = "raw",
     hyp = Hypersurface(pipe, gb, P, Q, x_centered, aux)
 
     # the centering must reduce x^2 to the pure central polynomial g
-    g_no_x = hyp.g.substitute({"x": hyp.ring.zero()}, hyp.ring).cast(ring)
+    g_no_x = hyp.g.substitute({"x": hyp.ring.zero()}, hyp.ring).cast(aux.ring)
     check = reduce_element(x_centered * x_centered, gb, budget)
     g_elem = reduce_element(_poly_as_element(g_no_x, aux, e0_elem), gb, budget)
     if check != g_elem:
@@ -440,6 +433,8 @@ def matrix_factorization(source, gb_degree: Optional[int] = None, basis: str = "
     2l images are reduced against that one echelon.
     C^2 = g I is checked exactly before returning.
     """
+    if basis not in ("raw", "nice"):
+        raise PipelineError("unknown basis %r" % (basis,))
     if basis == "nice":
         if hyp is None:
             hyp = hypersurface(source, gb_degree=gb_degree, basis="nice", budget=budget)
@@ -452,14 +447,12 @@ def matrix_factorization(source, gb_degree: Optional[int] = None, basis: str = "
         if not mf.check():
             raise PipelineError("matrix factorization identity broke under the basis change")
         return mf
-    pipe = _pipeline_of(source, basis)
+    pipe = _pipeline_of(source)
     budget = budget or Budget()
     if hyp is None:
         hyp = hypersurface(pipe, gb_degree=gb_degree, budget=budget)
     gb = hyp.gb
     pres = pipe.presentation
-    aux = hyp.aux_elements
-    ring = aux.ring
 
     gen_paths: List[Path] = []
     gen_nfs: List[Element] = []
@@ -476,34 +469,13 @@ def matrix_factorization(source, gb_degree: Optional[int] = None, basis: str = "
         gen_nfs.append(nf)
 
     x = hyp.x_centered
-    xw = pipe.graded_degree_element(x)
-    gmax = max(pipe.graded_degree_element(g) for g in gen_nfs)
-    gmin = min(pipe.graded_degree_element(g) for g in gen_nfs)
-    bound = xw + gmax - gmin
-
-    columns = []
-    for j, g_nf in enumerate(gen_nfs):
-        for m in aux.monomials(bound):
-            terms, scale = reduce_poly(aux.monomial_element(m) * g_nf, gb, budget)
-            if terms:
-                columns.append(((j, m), terms, scale))
-
-    n = len(gen_paths)
-    images = [reduce_poly(x * g_el, gb, budget) for g_el in gen_nfs]
-    solutions = _express_in_span(images, columns, pres.params, gb.order)
-    C: List[List[MultiPoly]] = [[ring.zero() for _ in range(n)] for _ in range(n)]
-    for i, solution in enumerate(solutions):
-        if solution is None:
-            raise TruncationInsufficientError(
-                "NF(x.g_%d) does not expand over the generator module basis at "
-                "truncation %d; try %d"
-                % (i, gb.truncation_degree, gb.truncation_degree + 2),
-                needed_degree=gb.truncation_degree + 2,
-            )
-        for (j, m), coeff in solution.items():
-            if not coeff.is_polynomial():
-                raise PipelineError("non-polynomial entry C[%d][%d]: %s" % (i, j, coeff))
-            C[i][j] = C[i][j] + coeff.as_poly().cast(ring) * aux.monomial_poly(m)
+    weights = [pipe.graded_degree_element(g) for g in gen_nfs]
+    bound = pipe.graded_degree_element(x) + max(weights) - min(weights)
+    rows = _expand([x * g for g in gen_nfs], [(j, g, bound) for j, g in enumerate(gen_nfs)],
+                   hyp.aux_elements, gb, budget,
+                   "NF(x.g_%(i)d) does not expand over the generator module basis at "
+                   "truncation %(degree)d; try %(next)d")
+    C = [[row[j] for j in range(len(gen_nfs))] for row in rows]
 
     mf = MatrixFactorization(hyp, gen_paths, C)
     if not mf.check():
@@ -676,6 +648,9 @@ class Representation:
             k: (parse_poly(v, ring) if isinstance(v, str) else v)
             for k, v in (param_map or {}).items()
         }
+        for v in algebra.quiver.vertices:
+            if v not in self.dims:
+                raise PipelineError("no dimension for vertex %r" % v)
         self.matrices: Dict[str, List[List[MultiPoly]]] = {}
         for a in algebra.quiver.arrows:
             if a.name not in matrices:
@@ -688,6 +663,8 @@ class Representation:
             if want != got:
                 raise PipelineError(
                     "matrix for %r has shape %r, expected %r" % (a.name, got, want))
+            if any(len(row) != got[1] for row in m):
+                raise PipelineError("matrix for %r has rows of different lengths" % a.name)
             self.matrices[a.name] = m
 
     def path_matrix(self, path: Path) -> List[List[MultiPoly]]:

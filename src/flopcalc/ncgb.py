@@ -14,7 +14,7 @@ accumulated multiplier is divided out only when a caller asks for an
 actual normal form.  Rules with constant leading coefficients (the vast
 majority) are made genuinely monic at creation, so most rewrite steps are
 exact; the monic-over-the-fraction-field view of the basis is what
-`rule_elements` and `serialize` present.
+`serialize` presents.
 
 Every reduction rewrites the largest reducible word first.  The pending
 words wait in a max-heap as packed integers: a word is the `digits` of its
@@ -143,14 +143,6 @@ class Rule:
             terms[p] = -c
         return terms
 
-    def monic_element(self, quiver: Quiver, params: ParamRing) -> Element:
-        """The relation as a monic element: lead - remainder."""
-        terms = {self.lead: RatFunc.coerce(params, 1)}
-        lc = RatFunc(self.lc)
-        for p, c in self.rest.items():
-            terms[p] = -(RatFunc(c) / lc)
-        return Element(quiver, params, terms)
-
     def remainder_element(self, quiver: Quiver, params: ParamRing) -> Element:
         """What the lead word rewrites to: rest / lc."""
         lc = RatFunc(self.lc)
@@ -277,11 +269,6 @@ class GroebnerBasis:
             self.truncation_degree,
             self.complete,
         )
-
-    def rule_elements(self) -> List[Element]:
-        """The rules as monic elements lead - remainder over the fraction field."""
-        q, pr = self.algebra.quiver, self.algebra.params
-        return [r.monic_element(q, pr) for r in self.rules]
 
     def serialize(self) -> str:
         """Ordered rule list `lead -> remainder` with a header."""

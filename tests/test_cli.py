@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import flopcalc
 from flopcalc import flops
 from flopcalc.catalog import builtins
@@ -132,12 +134,12 @@ def test_malformed_max_steps_environment_is_a_usage_error(monkeypatch):
     assert code == EXIT_USAGE
 
 
-def test_heavy_gating():
-    code, _ = invoke(["hypersurface", "--length", "4"])
-    assert code == EXIT_DOMAIN
-    # with --heavy it starts (budget-capped so the test stays fast)
-    code, _ = invoke(["hypersurface", "--length", "4", "--heavy", "--budget", "10"])
+def test_every_length_is_bounded_by_the_budget():
+    # no length is refused up front: the step budget bounds the work
+    code, _ = invoke(["hypersurface", "--length", "4", "--budget", "10"])
     assert code == EXIT_BUDGET
+    code, _ = invoke(["hypersurface", "--length", "4", "--heavy"])
+    assert code == EXIT_USAGE
 
 
 def test_mf_squares_c_once(monkeypatch):
@@ -225,6 +227,31 @@ def test_malformed_rep_files_are_usage_errors_naming_the_line(tmp_path, capsys):
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert message in err and "(line %d)" % text.count("\n") in err
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["catalog", "show"], None, "catalog show needs a name"),
+    (["verify-rep", "--builtin", "length-2"], None, "one of --rep or --chart is required"),
+    (["verify-rep", "--builtin", "laufer", "--rep"], "ring: t\ndims: 0=1\n",
+     "no dimension for vertex '4'"),
+    (["verify-rep", "--builtin", "laufer", "--rep"],
+     "ring: t\ndims: 0=1, 4=1\nmatrix a: [1, 0; 1]\n", "rows of different lengths (line 3)"),
+    (["verify-rep", "--builtin", "laufer", "--rep"], "ring: t\ndims: 0=1, 4=1\nmap: t = 1 +\n",
+     "end of input at position 3 (line 3, column 13)"),
+    (["verify-rep", "--builtin", "laufer", "--rep"],
+     "ring: t\ndims: 0=1, 4=1\nmatrix a: [t, 1 +]\n", "(line 3, column 18)"),
+    (["specialize", "--builtin", "length-2", "--map"], "ring:\n  t = 1 +\n",
+     "end of input at position 3 (line 2, column 10)"),
+], ids=["catalog-show-no-name", "verify-rep-no-source", "rep-dims-omit-vertex",
+        "rep-ragged-matrix", "rep-bad-map-value", "rep-bad-matrix-entry", "map-bad-value"])
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message):
+    if text is not None:
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        argv = argv + [str(path)]
+    code, _ = invoke(argv)
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 def test_superpotential_builtin():

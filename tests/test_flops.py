@@ -99,6 +99,13 @@ def test_nice_mf_reuses_the_raw_hypersurface(monkeypatch):
     assert mf.check()
 
 
+def test_unknown_basis_is_a_pipeline_error():
+    entry = universal_flopping_algebra(1)
+    for compute in (hypersurface, matrix_factorization):
+        with pytest.raises(PipelineError, match="unknown basis 'bogus'"):
+            compute(entry, basis="bogus")
+
+
 def _reference_express(target, columns, params):
     """One-target Bareiss solve: the reference that `_express_in_span` must
     match for each of its targets."""
@@ -192,7 +199,7 @@ def test_factored_span_solve_matches_one_solve_per_target(monkeypatch, name):
     column_words = {p for _, col_terms, _ in columns for p in col_terms}
     # a word outside the columns: the longest column word times one arrow
     longest = max(column_words, key=lambda p: p.degree)
-    quiver = entry.pipeline("raw").presentation.quiver
+    quiver = entry.pipeline().presentation.quiver
     arrow = next(i for i, a in enumerate(quiver.arrows) if a.source == longest.target)
     outside = Path(quiver, longest.source, longest.arrows + (arrow,))
     assert outside not in column_words
@@ -485,6 +492,15 @@ def test_representation_shape_mismatch():
     with pytest.raises(PipelineError):
         Representation(alg, {"0": 1, "1": 2},
                        {"a0": [["1"]], "A0": [["t"]], "a1": [["0"]], "A1": [["0"]]},
+                       ParamRing(["t"]), {})
+    with pytest.raises(PipelineError, match="no dimension for vertex '1'"):
+        Representation(alg, {"0": 1},
+                       {"a0": [["1"]], "A0": [["t"]], "a1": [["0"]], "A1": [["0"]]},
+                       ParamRing(["t"]), {})
+    with pytest.raises(PipelineError, match="rows of different lengths"):
+        Representation(alg, {"0": 2, "1": 2},
+                       {"a0": [["1", "0"], ["0"]], "A0": [["t", "0"], ["0", "t"]],
+                        "a1": [["0", "0"], ["0", "0"]], "A1": [["0", "0"], ["0", "0"]]},
                        ParamRing(["t"]), {})
 
 
