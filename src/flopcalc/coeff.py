@@ -194,6 +194,10 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.num
 
+    def __bool__(self) -> bool:
+        # false for zero only, as for int and Fraction
+        return bool(self.num)
+
     def is_one(self) -> bool:
         return self.den == 1 and len(self.num) == 1 and self.num.get(0) == 1
 

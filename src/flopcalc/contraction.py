@@ -34,7 +34,7 @@ from .ncgb import (
     InfiniteDimensionError,
     complete_groebner,
     enumerate_normal_words,
-    reduce_element,
+    reduce_poly,
 )
 from .pathalg import (
     AlgebraPresentation,
@@ -161,14 +161,13 @@ def completed_dimension(alg: AlgebraPresentation, budget: Optional[Budget] = Non
             p = compose(quiver, ap, w)
             if p is None:
                 continue
-            e = reduce_element(Element.from_path(quiver, params, p), gb, budget)
-            col = {}
-            for q, c in e.terms.items():
-                if not c.is_polynomial() or not c.num.is_constant():
-                    raise ContractionError("completed dimension needs constant coefficients")
-                col[pos[q]] = c.num.lead_ratio()
-            if col:
-                cols[j] = col
+            # the input has coefficient 1, so only a nonconstant leading
+            # coefficient of a rule makes the scale differ from 1
+            terms, scale = reduce_poly(Element.from_path(quiver, params, p), gb, budget)
+            if not scale.is_one() or not all(c.is_constant() for c in terms.values()):
+                raise ContractionError("completed dimension needs constant coefficients")
+            if terms:
+                cols[j] = {pos[q]: c.lead_ratio() for q, c in terms.items()}
         scale = lcm(*(d for col in cols.values() for _, d in col.values()))
         actions.append({j: {k: n * (scale // d) for k, (n, d) in col.items()}
                         for j, col in cols.items()})

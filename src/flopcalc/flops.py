@@ -246,14 +246,12 @@ def _add_multiple(acc: Dict[int, MultiPoly], vec: Dict[int, MultiPoly], a: Multi
             acc[k] = s
 
 
-def _nice_substitution(source, aux_names):
-    """(target ring, raw param -> polynomial map) for a recorded nice basis."""
+def _nice_entry(source):
+    """The catalog entry holding the source's recorded nice basis."""
     entry = source if hasattr(source, "nice_param_map") else getattr(source, "entry", None)
     if entry is None or getattr(entry, "nice_param_map", None) is None:
         raise PipelineError("no recorded nice basis for %r" % (source,))
-    ring = ParamRing(tuple(entry.nice_vars) + tuple(aux_names))
-    mapping = {k: parse_poly(v, ring) for k, v in entry.nice_param_map.items()}
-    return ring, mapping
+    return entry
 
 
 def _expand(targets, module, aux: _AuxMonomials, gb: GroebnerBasis, budget: Budget,
@@ -307,9 +305,12 @@ def hypersurface(source, gb_degree: Optional[int] = None, basis: str = "raw",
     if basis not in ("raw", "nice"):
         raise PipelineError("unknown basis %r" % (basis,))
     if basis == "nice":
+        entry = _nice_entry(source)
         raw = hypersurface(source, gb_degree=gb_degree, budget=budget)
         aux = raw.aux_elements
-        ring, mapping = _nice_substitution(source, aux.names)
+        # the raw parameters go to polynomials in the nice ones
+        ring = ParamRing(tuple(entry.nice_vars) + tuple(aux.names))
+        mapping = {k: parse_poly(v, ring) for k, v in entry.nice_param_map.items()}
         hyp = Hypersurface(raw.pipeline, raw.gb,
                            raw.P.substitute(mapping, ring),
                            raw.Q.substitute(mapping, ring),
@@ -547,12 +548,13 @@ def cyclic_derivative(w: Element, arrow: str) -> Element:
     return out
 
 
-def _monic(x: Element, order: MonomialOrder) -> Element:
-    """x divided by the coefficient of its leading word; zero stays zero."""
-    if x.is_zero():
-        return x
-    lc = x.terms[max(x.terms, key=order.key)]
-    return Element(x.quiver, x.params, {p: c / lc for p, c in x.terms.items()})
+def _is_multiple(x: Element, g: Element) -> bool:
+    """Whether x = r * g for a coefficient r, given that the nonzero x and g
+    have the same words: r is the ratio at any one of them."""
+    xt, gt = x.terms, g.terms
+    w = next(iter(xt))
+    r = xt[w] / gt[w]
+    return all(c == r * gt[p] for p, c in xt.items())
 
 
 class SuperpotentialReport(CheckReport):
@@ -566,17 +568,20 @@ def _normal_forms(elements, ideal: AlgebraPresentation, degree: int, budget: Bud
     """Yield (normal form, failure detail) for each element modulo the ideal
     generated by `ideal.relations`, against its basis truncated at `degree`.
 
-    Zero, or a nonzero constant multiple of a generator (equal to it after
-    `_monic`), lies in the ideal by inspection: its normal form is zero.
+    Zero, or a nonzero constant multiple of a generator (same words, one
+    ratio: `_is_multiple`), lies in the ideal by inspection: its normal
+    form is zero.
     The basis is completed once, at the first element inspection cannot
     place, and never when inspection places them all.  A nonzero normal
     form is also returned formatted in the basis order, as the detail.
     """
-    order = ideal.order()
-    generators = [_monic(g, order) for g in ideal.relations if not g.is_zero()]
+    by_words: Dict[frozenset, List[Element]] = {}
+    for g in ideal.relations:
+        if not g.is_zero():
+            by_words.setdefault(frozenset(g.terms), []).append(g)
     gb = None
     for x in elements:
-        if x.is_zero() or _monic(x, order) in generators:
+        if x.is_zero() or any(_is_multiple(x, g) for g in by_words.get(frozenset(x.terms), ())):
             yield Element.zero(x.quiver, x.params), ""
             continue
         if gb is None:

@@ -16,6 +16,15 @@ majority) are made genuinely monic at creation, so most rewrite steps are
 exact; the monic-over-the-fraction-field view of the basis is what
 `serialize` presents.
 
+The rewriting kernel's coefficient domain follows the input's ring.  With
+parameters, the work coefficients are `MultiPoly` values.  Without any (the
+NCCRs and their contraction algebras), every leading coefficient is
+constant and every rule monic, so the kernel works on Python rationals: an
+`int`, or a `Fraction` where a rule's tail has a denominator.  Each rule
+compiles its tail into that domain once; the kernel converts its input
+once on entry and its output back to `MultiPoly` on exit, so callers see
+`MultiPoly` coefficients either way.
+
 Every reduction rewrites the largest reducible word first.  The pending
 words wait in a max-heap as packed integers: a word is the `digits` of its
 order key (`MonomialOrder.key`), the heap holds int tuples, and a rewrite
@@ -44,11 +53,12 @@ below it).
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import count
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .coeff import MultiPoly, ParamRing, RatFunc, divexact, poly_gcd
+from .coeff import CoeffError, MultiPoly, ParamRing, RatFunc, divexact, poly_gcd
 from .pathalg import (
     AlgebraPresentation,
     Element,
@@ -114,7 +124,9 @@ class Rule:
     `compiled` is `rest` as the rewriting kernel reads it: one
     `(arrows, degree, length, digits, unit, coeff)` entry per word, with the
     order key's fields and `unit` 1 or -1 for a coefficient of 1 or -1, 0
-    for any other.  `set_rest` replaces both together.
+    for any other.  `coeff` is in the kernel's coefficient domain: a Python
+    rational (`_scalar`) when the ring has no parameters, the `MultiPoly`
+    otherwise.  `set_rest` replaces both together.
     """
 
     __slots__ = ("lead", "lc", "rest", "compiled")
@@ -128,7 +140,8 @@ class Rule:
         self.rest = rest
         key = order.key
         self.compiled = [
-            (p.arrows,) + key(p) + (1 if c.is_one() else -1 if (-c).is_one() else 0, c)
+            (p.arrows,) + key(p) + (1 if c.is_one() else -1 if (-c).is_one() else 0,
+                                    c if c.ring.names else _scalar(c))
             for p, c in rest.items()]
 
     def copy(self) -> "Rule":
@@ -151,6 +164,15 @@ class Rule:
 
     def __repr__(self):
         return "Rule(%r -> %d terms)" % (self.lead, len(self.rest))
+
+
+def _scalar(c: MultiPoly):
+    """A constant as a Python rational: an int, or a Fraction when it has
+    a denominator."""
+    if not c.is_constant():
+        raise CoeffError("a parameter-free reduction met the non-constant coefficient %s" % c)
+    n, d = c.lead_ratio()
+    return n if d == 1 else Fraction(n, d)
 
 
 def _visits(quiver: Quiver, source: str, arrows: Tuple[int, ...], vertex: str) -> Optional[int]:
@@ -315,12 +337,22 @@ def _reduce_poly_terms(
     number breaks those ties by the order in which the words entered
     `work`.  A word that cancels keeps its heap entry, which is skipped
     when popped because `live` no longer holds its sequence number.
+
+    The work coefficients are in the domain of the input's ring: when it
+    has no parameters they are Python rationals (`_scalar`, as the rules'
+    compiled tails are), converted once here and back to `MultiPoly` on
+    output; otherwise they are the `MultiPoly` values themselves.  A
+    parameter-free ring makes every constant leading coefficient monic
+    (`_make_rule`), so there the fraction-free branch is never taken.
     """
+    if not terms:
+        return {}, ParamRing([]).one()
+    ring = next(iter(terms.values())).ring
+    scalar = not ring.names
     base = order.base
     qa, vertices = quiver.arrows, quiver.vertices
     vertex_id = {v: -1 - i for i, v in enumerate(vertices)}
-    ring = None
-    work: Dict[int, MultiPoly] = {}
+    work: Dict[int, object] = {}
     words: Dict[int, Tuple[int, ...]] = {}
     live: Dict[int, int] = {}
     heap: List[Tuple[int, int, int, int, int]] = []
@@ -329,12 +361,11 @@ def _reduce_poly_terms(
         if not c.is_zero():
             degree, length, digits = order.key(p)
             w = digits if length else vertex_id[p.source]
-            work[w] = c
+            work[w] = _scalar(c) if scalar else c
             words[w] = p.arrows
             n = live[w] = next(seq)
             heappush(heap, (-degree, -length, -digits, n, w))
-            ring = c.ring
-    out: PolyTerms = {}
+    out = {}
     mult: Optional[MultiPoly] = None
     find = index.find
     while heap:
@@ -380,16 +411,15 @@ def _reduce_poly_terms(
                 heappush(heap, (-outer_degree - r_degree, -outer_length - r_length, -nd, k, nw))
                 continue
             s = prev + c if unit == 1 else prev - c if unit else prev + c * rc
-            if s.is_zero():
+            if s:
+                work[nw] = s
+            else:
                 del work[nw]
                 del live[nw]
-            else:
-                work[nw] = s
-    if mult is None:
-        if ring is None:
-            ring = ParamRing([])
-        mult = ring.one()
-    return out, mult
+    if scalar:
+        const = ring.const
+        out = {p: const(c) for p, c in out.items()}
+    return out, ring.one() if mult is None else mult
 
 
 def _poly_content(terms: PolyTerms) -> Optional[MultiPoly]:

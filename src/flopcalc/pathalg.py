@@ -613,7 +613,7 @@ def parse_element(text: str, quiver: Quiver, params: ParamRing) -> Element:
         toks = tokenize_poly(text)
         return _ElementParser(toks, quiver, params).parse()
     except CoeffError as exc:
-        raise ParseError(str(exc))
+        raise ParseError(str(exc), column=None if exc.position is None else exc.position + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,9 @@ def test_bad_integers_in_a_presentation_are_usage_errors(tmp_path, capsys):
 def test_element_parse_errors_give_the_column(capsys):
     for element, message in (("a**b", "unexpected token '*' (column 3)"),
                              ("a*(", "unexpected end of input (column 4)"),
-                             ("(a", "found end of input")):
+                             ("(a", "found end of input (column 3)"),
+                             ("a*$", "unexpected character '$' at position 2 (column 3)"),
+                             ("a*(1/0)", "zero denominator at position 5 (column 6)")):
         code, _ = invoke(["nf", "--builtin", "laufer", "--element", element])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err

@@ -144,11 +144,15 @@ def test_length_4_contraction_dims():
 
 
 def test_completed_dimension_needs_constant_coefficients():
-    pres = parse_presentation(
-        "params: t\nvertices: 0, 1\narrows: a: 0 -> 1, x: 1 -> 1, y: 1 -> 1\n"
-        "relations: x*y - y*x ; x*x - t*y ; y*y")
-    with pytest.raises(ContractionError, match="completed dimension needs constant coefficients"):
-        contraction_dims(pres, "0")
+    # a nonconstant coefficient in a rule's tail, then a nonconstant
+    # leading coefficient (a nonconstant reduction scale)
+    for relations in ("x*y - y*x ; x*x - t*y ; y*y", "t*x*x - y ; y*y ; x*y ; y*x"):
+        pres = parse_presentation(
+            "params: t\nvertices: 0, 1\narrows: a: 0 -> 1, x: 1 -> 1, y: 1 -> 1\n"
+            "relations: " + relations)
+        with pytest.raises(ContractionError,
+                           match="completed dimension needs constant coefficients"):
+            contraction_dims(pres, "0")
 
 
 def test_budget_error_names_the_dimension_that_ran_out():

@@ -106,6 +106,19 @@ def test_unknown_basis_is_a_pipeline_error():
             compute(entry, basis="bogus")
 
 
+def test_missing_nice_basis_is_reported_before_any_completion(monkeypatch):
+    # length 4 records no nice basis: that is known from the catalog entry,
+    # so no basis is completed first
+    completions = []
+    monkeypatch.setattr(flops, "truncated_groebner",
+                        lambda *args, **kw: completions.append(args))
+    entry = universal_flopping_algebra(4)
+    for compute in (hypersurface, matrix_factorization):
+        with pytest.raises(PipelineError, match="no recorded nice basis"):
+            compute(entry, basis="nice")
+    assert completions == []
+
+
 def _reference_express(target, columns, params):
     """One-target Bareiss solve: the reference that `_express_in_span` must
     match for each of its targets."""

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from flopcalc.catalog import builtins, universal_flopping_algebra
+from flopcalc.coeff import CoeffError, MultiPoly, ParamRing
 from flopcalc.contraction import contraction_presentation
 from flopcalc.ncgb import (
     Budget,
@@ -42,6 +43,10 @@ LOOPS = ("params:\nvertices: 0, 1\narrows: p: 0 -> 0, q: 0 -> 0, r: 1 -> 1\n"
          "relations: p*p - e0 ; q*q - e0 ; r*r - e1")
 D4_CON = ("params:\nvertices: 4\narrows: b: 4 -> 4, c: 4 -> 4\n"
           "relations: b^2 ; c^2 ; (b + c)^2")
+# no parameters, and every rule tail has a denominator (at degree 7)
+RATIONAL_TAILS = ("params:\nvertices: 0, 1\n"
+                  "arrows: a: 0 -> 1, b: 1 -> 0, x: 0 -> 0, y: 1 -> 1\n"
+                  "relations: 2*a*b - 3*x*x + e0 ; 3*b*a - 2*y*y*y ; 5*x*a - 3*a*y")
 
 
 def test_free_algebra_empty_basis():
@@ -275,6 +280,38 @@ def test_reduction_keys_each_input_word_at_most_once():
         assert budget.steps > 0
         assert set(counting.calls) <= set(terms)
         assert max(counting.calls.values()) <= 1
+
+
+def test_parameter_free_reduction_makes_no_polynomial_arithmetic(monkeypatch):
+    # without parameters the kernel works on Python rationals: a MultiPoly
+    # product or sum inside it would be a silent fallback
+    for text, degree, element in ((RATIONAL_TAILS, 7, "5*b*x^4*a*y + b*x^3*a - (1/2)*b*a*b*a"),
+                                  (LAUFER_CON, 12, "(b + c)^6 + c^2*b*c^2")):
+        pres = pres_from(text)
+        gb = truncated_groebner(pres, max_degree=degree)
+        want, _ = reduce_poly(pres.element(element), gb)
+        terms, _ = _clear_denominators(pres.element(element))
+        calls = []
+        budget = Budget()
+        with monkeypatch.context() as m:
+            for name in ("__mul__", "__rmul__", "_add"):
+                real = getattr(MultiPoly, name)
+                m.setattr(MultiPoly, name,
+                          lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+            got, mult = _reduce_poly_terms(terms, gb._index, pres.quiver, gb.order, budget)
+        assert calls == []
+        assert budget.steps > 0
+        assert got == want and mult.is_one()
+
+
+def test_parameter_free_reduction_rejects_a_nonconstant_coefficient():
+    pres = pres_from(LAUFER_CON)
+    gb = truncated_groebner(pres, max_degree=12)
+    q = pres.quiver
+    t = ParamRing(["t"]).var("t")
+    terms = {Path(q, "4", (0, 0, 0)): pres.params.one(), Path(q, "4", (1,)): t}
+    with pytest.raises(CoeffError, match="non-constant"):
+        _reduce_poly_terms(terms, gb._index, q, gb.order, Budget())
 
 
 def test_idempotent_ties_keep_recorded_order():

@@ -18,7 +18,7 @@ from flopcalc.contraction import contraction_presentation
 from flopcalc.ncgb import reduce_element, truncated_groebner
 from flopcalc.pathalg import Element, Path, parse_presentation
 
-from test_ncgb import TWO_VERTEX
+from test_ncgb import RATIONAL_TAILS, TWO_VERTEX
 from test_pathalg import rand_path
 
 
@@ -68,6 +68,10 @@ def _cases():
     for name in ("laufer-nccr", "length-3-nccr"):
         con = contraction_presentation(builtins()[name].presentation(), "0")
         yield name + "-con", con, 8
+    # parameter free with rational rule tails: the kernel runs on Fraction
+    con = contraction_presentation(builtins()["length-4-nccr"].presentation(), "0")
+    yield "length-4-nccr-con", con, 10
+    yield "rational-tails", parse_presentation(RATIONAL_TAILS), 7
     yield "two-vertex", parse_presentation(TWO_VERTEX), 6
 
 
@@ -106,3 +110,11 @@ def test_reduction_agrees_with_the_naive_reducer(name, pres, degree):
             assert got.terms[p] == c
         rewritten += got != x
     assert rewritten >= 10
+
+
+@pytest.mark.parametrize("name", ["length-4-nccr-con", "rational-tails"])
+def test_rational_tail_cases_run_on_fractions(name):
+    _, pres, degree = next(c for c in CASES if c[0] == name)
+    gb = truncated_groebner(pres, max_degree=degree)
+    assert not pres.params.names
+    assert any(isinstance(entry[-1], Fraction) for r in gb.rules for entry in r.compiled)

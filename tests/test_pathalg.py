@@ -210,8 +210,10 @@ def test_parse_rejects_bad_integers_naming_the_line(line, what):
 @pytest.mark.parametrize("text, message", [
     ("b**c", "unexpected token '*' (column 3)"),
     ("b*(", "unexpected end of input (column 4)"),
-    ("(b", "expected ) at position 2, found end of input"),
-    ("b^c", "expected num at position 2, found token 'c'"),
+    ("(b", "expected ) at position 2, found end of input (column 3)"),
+    ("b^c", "expected num at position 2, found token 'c' (column 3)"),
+    ("b*$", "unexpected character '$' at position 2 (column 3)"),
+    ("b*(1/0)", "zero denominator at position 5 (column 6)"),
     ("q*b", "unknown name 'q' (not an arrow, idempotent, or parameter) (column 1)"),
 ])
 def test_element_parse_errors_say_where(text, message):
