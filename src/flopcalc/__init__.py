@@ -16,8 +16,6 @@ from .coeff import (
     elementary_symmetric,
     format_poly,
     parse_poly,
-    poly_arith,
-    substitute,
 )
 from .pathalg import (
     AlgebraPresentation,
@@ -29,7 +27,6 @@ from .pathalg import (
     PathAlgebraError,
     Quiver,
     compose,
-    element_arith,
     format_presentation,
     idempotent_path,
     parse_element,

@@ -28,6 +28,7 @@ from .pathalg import (
     Element,
     PathAlgebraError,
     Quiver,
+    is_multiple,
     parse_element,
     parse_presentation,
 )
@@ -819,13 +820,12 @@ def _l5_intermediate_text() -> str:
 class Builtin:
     """A named specialized presentation with optional extras for tests."""
 
-    def __init__(self, name, text, superpotential=None, expected=None, note="",
+    def __init__(self, name, text, superpotential=None, expected=None,
                  x=None, aux=None, generators=None, eliminated=None):
         self.name = name
         self.text = text
         self.superpotential = superpotential
         self.expected = expected or {}
-        self.note = note
         self.x_text = x
         self.aux_texts = aux
         self.generators = generators
@@ -848,10 +848,10 @@ class Builtin:
 
 def builtins() -> Dict[str, Builtin]:
     out = {
+        # Laufer flop: length-2 specialization with w=-t, u=y, v=0
         "laufer": Builtin(
             "laufer", _LAUFER_TEXT,
             expected={"specializes": 2, "map": {"u": "y", "v": "0", "w": "-t"}},
-            note="Laufer flop: length-2 specialization with w=-t, u=y, v=0",
             x="a*b*c*A", aux=(("z", "a*b*A"), ("y", "a*c*A")),
             generators=["a", "a*b", "a*c", "a*b*c"],
             eliminated="laufer-nccr",
@@ -864,18 +864,18 @@ def builtins() -> Dict[str, Builtin]:
             "length-3-nccr", _L3_NCCR_TEXT, _L3_SUPERPOTENTIAL,
             expected={"dim": 27, "dim_ab": 6, "length": 3, "gv": [(6, 3, 1, 0, 0, 0)]},
         ),
+        # explicit length-3 flop with recorded hypersurface and 6x6 factorization
         "length-3-example": Builtin(
             "length-3-example", _L3_EXAMPLE_TEXT,
-            note="explicit length-3 flop with recorded hypersurface and 6x6 factorization",
             x="a*c^2*b*c*A", aux=(("z", "a*c*A"), ("y", "a*c^2*A")),
             generators=["a", "a*c", "a*c^2", "a*c*b", "a*c^2*b", "a*c^2*b*c"],
         ),
         "length-5-nccr": Builtin(
             "length-5-nccr", _L5_NCCR_TEXT, _L5_SUPERPOTENTIAL,
         ),
+        # 3-vertex idempotent slice used to derive the length-5 presentation
         "length-5-intermediate": Builtin(
             "length-5-intermediate", _l5_intermediate_text(),
-            note="3-vertex idempotent slice used to derive the length-5 presentation",
         ),
     }
     for l, i, j, k, gb in ((4, 2, 4, 3, 8), (6, 2, 3, 5, 8)):
@@ -1015,22 +1015,10 @@ def central_fibre_consistent(entry: FlopCatalogEntry) -> bool:
     images = [e for e in images if not e.is_zero()]
     targets = list(cf.relations)
 
-    def matches(e: Element, f: Element) -> bool:
-        if set(e.terms) != set(f.terms):
-            return False
-        ratio = None
-        for p, c in e.terms.items():
-            r = c / f.terms[p]
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return False
-        return True
-
     for tgt in targets:
-        if not any(matches(img, tgt) for img in images):
+        if not any(is_multiple(img, tgt) for img in images):
             return False
     for img in images:
-        if not any(matches(img, tgt) for tgt in targets):
+        if not any(is_multiple(img, tgt) for tgt in targets):
             return False
     return True

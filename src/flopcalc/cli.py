@@ -134,7 +134,7 @@ def cmd_gb(args, out: _Out):
     degree = args.degree or pres.gb_degree
     if degree is None:
         raise ParseError("--degree is required (presentation records no default)")
-    gb = truncated_groebner(pres, None, degree, _budget(args))
+    gb = truncated_groebner(pres, max_degree=degree, budget=_budget(args))
     out.record("groebner")
     out.both("rules", len(gb.rules))
     out.both("complete", "true" if gb.complete else "false")
@@ -151,7 +151,7 @@ def cmd_nf(args, out: _Out):
     if degree is None:
         raise ParseError("--degree is required (presentation records no default)")
     budget = _budget(args)
-    gb = truncated_groebner(pres, None, degree, budget)
+    gb = truncated_groebner(pres, max_degree=degree, budget=budget)
     elem = parse_element(args.element, pres.quiver, pres.params)
     nf = normal_form(elem, gb, budget)
     out.record("normal-form")

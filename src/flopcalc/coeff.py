@@ -1065,26 +1065,6 @@ def _normalize_frac(num: MultiPoly, den: MultiPoly) -> Tuple[MultiPoly, MultiPol
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def poly_arith(a, b, op: str):
-    """add | sub | mul | div on MultiPoly or RatFunc operands (exact)."""
-    if op == "div":
-        ra = a if isinstance(a, RatFunc) else RatFunc(a)
-        rb = b if isinstance(b, RatFunc) else RatFunc.coerce(ra.ring, b)
-        if rb.is_zero():
-            raise DivisionByZeroError("poly_arith: division by zero")
-        return ra / rb
-    if isinstance(a, RatFunc) or isinstance(b, RatFunc):
-        ra = a if isinstance(a, RatFunc) else RatFunc(a)
-        rb = b if isinstance(b, RatFunc) else RatFunc.coerce(ra.ring, b)
-        return {"add": ra + rb, "sub": ra - rb, "mul": ra * rb}[op]
-    return {"add": a + b, "sub": a - b, "mul": a * b}[op]
-
-
-def substitute(p: MultiPoly, mapping: Mapping[str, MultiPoly], ring: Optional[ParamRing] = None) -> MultiPoly:
-    """Simultaneous exact substitution; a ring homomorphism."""
-    return p.substitute(mapping, ring)
-
-
 def elementary_symmetric(k: int, values: Sequence[MultiPoly]) -> MultiPoly:
     """sigma_k of the given polynomials; 1 <= k <= len(values)."""
     n = len(values)

@@ -124,8 +124,7 @@ def abelianization(alg: AlgebraPresentation) -> AlgebraPresentation:
                               name=(alg.name + "-ab") if alg.name else "abelianization")
 
 
-def completed_dimension(alg: AlgebraPresentation, budget: Optional[Budget] = None,
-                        max_truncation: int = 64):
+def completed_dimension(alg: AlgebraPresentation, budget: Optional[Budget] = None):
     """Dimension of the completion of the quotient at the arrow ideal.
 
     The quotient A can pick up semisimple summands supported away from the
@@ -144,9 +143,9 @@ def completed_dimension(alg: AlgebraPresentation, budget: Optional[Budget] = Non
     integer vector.
     """
     budget = budget or Budget()
-    gb = complete_groebner(alg, budget=budget, max_truncation=max_truncation)
+    gb = complete_groebner(alg, budget=budget)
     try:
-        words = enumerate_normal_words(gb, None, None, None)
+        words = enumerate_normal_words(gb)
     except InfiniteDimensionError:
         return INFINITE
     pos = {p: i for i, p in enumerate(words)}
@@ -217,19 +216,18 @@ def _reduce_into(basis: Dict[int, Dict[int, int]], row: Dict[int, int]) -> None:
                 del row[k]
 
 
-def contraction_dims(alg: AlgebraPresentation, e0, budget: Optional[Budget] = None,
-                     max_truncation: int = 64) -> Tuple[object, object]:
+def contraction_dims(alg: AlgebraPresentation, e0,
+                     budget: Optional[Budget] = None) -> Tuple[object, object]:
     """(dim, dim_ab) of the (complete local) contraction algebra at e0."""
-    return _dims_of(contraction_presentation(alg, e0), budget, max_truncation)
+    return _dims_of(contraction_presentation(alg, e0), budget)
 
 
-def _dims_of(con: AlgebraPresentation, budget: Optional[Budget],
-             max_truncation: int) -> Tuple[object, object]:
+def _dims_of(con: AlgebraPresentation, budget: Optional[Budget]) -> Tuple[object, object]:
     """(dim, dim_ab) of a contraction presentation that is already built."""
     dims = []
     for name, pres in (("dim", con), ("dim_ab", abelianization(con))):
         try:
-            dims.append(completed_dimension(pres, budget=budget, max_truncation=max_truncation))
+            dims.append(completed_dimension(pres, budget))
         except BudgetExceededError as exc:
             raise BudgetExceededError(
                 "contraction dimension did not finish (%s): %s (an incomplete basis or "
@@ -272,10 +270,9 @@ def gv_invariants(dim: int, dim_ab: int, length: Optional[int] = None) -> List[T
 
 
 def contraction_report(alg: AlgebraPresentation, e0, length: Optional[int] = None,
-                       budget: Optional[Budget] = None,
-                       max_truncation: int = 64) -> ContractionReport:
+                       budget: Optional[Budget] = None) -> ContractionReport:
     con = contraction_presentation(alg, e0)
-    dim, dim_ab = _dims_of(con, budget, max_truncation)
+    dim, dim_ab = _dims_of(con, budget)
     if dim == INFINITE or dim_ab == INFINITE:
         return ContractionReport(con, dim, dim_ab, [], length)
     return ContractionReport(con, dim, dim_ab, gv_invariants(dim, dim_ab, length), length)

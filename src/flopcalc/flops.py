@@ -43,6 +43,7 @@ from .pathalg import (
     Path,
     PathAlgebraError,
     idempotent_path,
+    is_multiple,
 )
 
 
@@ -321,7 +322,7 @@ def hypersurface(source, gb_degree: Optional[int] = None, basis: str = "raw",
     pipe = _pipeline_of(source)
     budget = budget or Budget()
     pres = pipe.presentation
-    gb = truncated_groebner(pres, None, gb_degree, budget)
+    gb = truncated_groebner(pres, max_degree=gb_degree, budget=budget)
     x_prime = pipe.x_elem
 
     ep = x_prime.endpoints()
@@ -548,15 +549,6 @@ def cyclic_derivative(w: Element, arrow: str) -> Element:
     return out
 
 
-def _is_multiple(x: Element, g: Element) -> bool:
-    """Whether x = r * g for a coefficient r, given that the nonzero x and g
-    have the same words: r is the ratio at any one of them."""
-    xt, gt = x.terms, g.terms
-    w = next(iter(xt))
-    r = xt[w] / gt[w]
-    return all(c == r * gt[p] for p, c in xt.items())
-
-
 class SuperpotentialReport(CheckReport):
     def __init__(self):
         super().__init__()
@@ -569,7 +561,7 @@ def _normal_forms(elements, ideal: AlgebraPresentation, degree: int, budget: Bud
     generated by `ideal.relations`, against its basis truncated at `degree`.
 
     Zero, or a nonzero constant multiple of a generator (same words, one
-    ratio: `_is_multiple`), lies in the ideal by inspection: its normal
+    ratio: `is_multiple`), lies in the ideal by inspection: its normal
     form is zero.
     The basis is completed once, at the first element inspection cannot
     place, and never when inspection places them all.  A nonzero normal
@@ -581,11 +573,11 @@ def _normal_forms(elements, ideal: AlgebraPresentation, degree: int, budget: Bud
             by_words.setdefault(frozenset(g.terms), []).append(g)
     gb = None
     for x in elements:
-        if x.is_zero() or any(_is_multiple(x, g) for g in by_words.get(frozenset(x.terms), ())):
+        if x.is_zero() or any(is_multiple(x, g) for g in by_words.get(frozenset(x.terms), ())):
             yield Element.zero(x.quiver, x.params), ""
             continue
         if gb is None:
-            gb = truncated_groebner(ideal, None, degree, budget)
+            gb = truncated_groebner(ideal, max_degree=degree, budget=budget)
         nf = reduce_element(x, gb, budget)
         yield nf, "" if nf.is_zero() else nf.format(gb.order)
 

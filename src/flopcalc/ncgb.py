@@ -35,7 +35,12 @@ become `Path`s.
 
 `complete_groebner` climbs a ladder of truncation degrees on one
 completion, raising its degree and continuing, so no rung repeats the
-reductions of the rung below.
+reductions of the rung below.  Its bounds are module constants
+(`MAX_TRUNCATION`, and `MAX_NORMAL_WORDS` for `enumerate_normal_words`),
+and every completion orders words by the presentation's precedence
+(`AlgebraPresentation.order`).  Rules are immutable: the completion
+replaces a rule whose tail it re-reduces, so the bases it hands out share
+its rules and never change.
 
 An overlap is never reduced when its word holds an active rule's lead
 strictly inside, touching neither its first arrow nor its last: the
@@ -70,6 +75,10 @@ from .pathalg import (
 )
 
 DEFAULT_MAX_STEPS = 10 ** 6
+# the highest truncation degree `complete_groebner` tries
+MAX_TRUNCATION = 64
+# the most normal words `enumerate_normal_words` lists
+MAX_NORMAL_WORDS = 10 ** 6
 INFINITE = "infinite-or-budget"
 
 PolyTerms = Dict[Path, MultiPoly]
@@ -126,7 +135,9 @@ class Rule:
     order key's fields and `unit` 1 or -1 for a coefficient of 1 or -1, 0
     for any other.  `coeff` is in the kernel's coefficient domain: a Python
     rational (`_scalar`) when the ring has no parameters, the `MultiPoly`
-    otherwise.  `set_rest` replaces both together.
+    otherwise.  A rule never changes once built: the completion replaces a
+    rule whose tail it re-reduces by a new one, so a basis can share its
+    rules with the completion that handed it out.
     """
 
     __slots__ = ("lead", "lc", "rest", "compiled")
@@ -134,21 +145,12 @@ class Rule:
     def __init__(self, lead: Path, lc: MultiPoly, rest: PolyTerms, order: MonomialOrder):
         self.lead = lead
         self.lc = lc
-        self.set_rest(rest, order)
-
-    def set_rest(self, rest: PolyTerms, order: MonomialOrder):
         self.rest = rest
         key = order.key
         self.compiled = [
             (p.arrows,) + key(p) + (1 if c.is_one() else -1 if (-c).is_one() else 0,
                                     c if c.ring.names else _scalar(c))
             for p, c in rest.items()]
-
-    def copy(self) -> "Rule":
-        """The same rule, unaffected by a later `set_rest` on this one."""
-        twin = Rule.__new__(Rule)
-        twin.lead, twin.lc, twin.rest, twin.compiled = self.lead, self.lc, self.rest, self.compiled
-        return twin
 
     def poly_element(self) -> PolyTerms:
         terms = {self.lead: self.lc}
@@ -198,27 +200,37 @@ def _contains(quiver: Quiver, path: Path, lead: Path) -> bool:
 
 
 class _RuleIndex:
-    """Rules indexed by leading first arrow for leftmost subword search."""
+    """Rules keyed by lead in insertion order, and indexed by leading first
+    arrow for leftmost subword search."""
 
     def __init__(self, quiver: Quiver):
         self.quiver = quiver
-        self.rules: List[Rule] = []
+        self.rules: Dict[Path, Rule] = {}
         self.by_first: Dict[int, List[Rule]] = {}
         self.empty_leads: Dict[str, Rule] = {}
 
     def add(self, rule: Rule):
-        self.rules.append(rule)
+        self.rules[rule.lead] = rule
         if rule.lead.arrows:
             self.by_first.setdefault(rule.lead.arrows[0], []).append(rule)
         else:
             self.empty_leads[rule.lead.source] = rule
 
     def remove(self, rule: Rule):
-        self.rules.remove(rule)
+        del self.rules[rule.lead]
         if rule.lead.arrows:
             self.by_first[rule.lead.arrows[0]].remove(rule)
         else:
             del self.empty_leads[rule.lead.source]
+
+    def replace(self, old: Rule, new: Rule):
+        """Put `new`, which has `old`'s lead, in `old`'s place everywhere."""
+        self.rules[new.lead] = new
+        if new.lead.arrows:
+            same_first = self.by_first[new.lead.arrows[0]]
+            same_first[same_first.index(old)] = new
+        else:
+            self.empty_leads[new.lead.source] = new
 
     def find(self, source: str, word: Tuple[int, ...]):
         """Leftmost match in the word `word` from `source`: (position,
@@ -459,11 +471,9 @@ def _clear_denominators(x: Element) -> Tuple[PolyTerms, MultiPoly]:
             g = poly_gcd(D, c.den)
             extra = divexact(c.den, g) if not g.is_one() else c.den
             D = D * extra
-    terms: PolyTerms = {}
-    for p, c in x.terms.items():
-        scaled = c * RatFunc(D)
-        terms[p] = scaled.as_poly()
-    return terms, D
+    if D.is_one():
+        return {p: c.num for p, c in x.terms.items()}, D
+    return {p: c.num * divexact(D, c.den) for p, c in x.terms.items()}, D
 
 
 def reduce_poly(x: Element, gb: GroebnerBasis, budget: Optional[Budget] = None
@@ -471,8 +481,11 @@ def reduce_poly(x: Element, gb: GroebnerBasis, budget: Optional[Budget] = None
     """Fraction-free reduction: (terms, scale) with terms = scale * NF(x)."""
     budget = budget or Budget()
     cleared, D = _clear_denominators(x)
+    if not cleared:
+        # the kernel knows no ring without terms: keep the scale in x's ring
+        return {}, D
     reduced, mult = _reduce_poly_terms(cleared, gb._index, x.quiver, gb.order, budget)
-    return reduced, D * mult
+    return reduced, mult if D.is_one() else D * mult
 
 
 def reduce_element(x: Element, gb: GroebnerBasis, budget: Optional[Budget] = None) -> Element:
@@ -522,19 +535,28 @@ class _Completion:
 
     Holds the whole state of a run: the rule index, the pending elements,
     the overlap signatures already seen, the queue of overlaps at or below
-    the current truncation degree and the overlaps skipped above it, each
-    kept with its full queue entry.  `run(d)` raises the truncation to d,
-    queues the skipped overlaps that now fit and completes; a later
-    `run(d')` continues from there instead of starting again.
+    the current truncation degree and the overlaps skipped above it.  An
+    overlap is the entry `(degree, key, (lead1, lead2, k))` of its word
+    w = lead1 + lead2[k:]; it is live while both leads lead rules of the
+    index, and its S-element reads those rules when it is picked.  `run(d)`
+    raises the truncation to d, queues the skipped overlaps that now fit
+    and completes; a later `run(d')` continues from there instead of
+    starting again.  The monomial order is the presentation's
+    (`AlgebraPresentation.order`).
+
+    Rules are never edited: when an insertion makes a tail reducible, the
+    rule is rebuilt from the reduced tail and put in the old one's place
+    in the index, so every iteration order stays as it was and a handed-out
+    basis shares the index's rules.
 
     The truncation ladder keeps three things of a from-scratch run at its
-    degree: the overlap pick order `(deg, key, sig)` over active rules, the
+    degree: the overlap pick order over live entries, the
     tail interreduction after every insertion, and the completeness rule:
     a basis is complete only when no overlap of any rule, active or
     retired, remains skipped.  A complete basis is the unique reduced
     basis of its ideal, so it equals the from-scratch one rule for rule.
 
-    An overlap (r1, r2, k) popped from the queue, with word
+    An overlap of rules r1, r2 popped from the queue, with word
     w = lead1 + lead2[k:], is dropped unreduced when an active rule's
     nonempty lead L occurs in w at a position i >= 1 with
     i + len(L) <= len(w) - 1 (`_holds_inner_lead`).  No lead holds another,
@@ -551,9 +573,9 @@ class _Completion:
     compares bases with and without it byte for byte, truncated ones too.
     """
 
-    def __init__(self, algebra: AlgebraPresentation, order: MonomialOrder, budget: Budget):
+    def __init__(self, algebra: AlgebraPresentation, budget: Budget):
         self.algebra = algebra
-        self.order = order
+        self.order = algebra.order()
         self.budget = budget
         self.quiver = algebra.quiver
         self.max_rel_degree = max(
@@ -570,13 +592,12 @@ class _Completion:
     def basis(self, complete: bool) -> GroebnerBasis:
         """The current rules as a basis at the current truncation degree.
 
-        Tail reduction mutates rules in place, so the basis gets copies
-        and does not change when the completion continues.
+        Rules never change, and the completion replaces rather than edits
+        them, so the basis shares them and stays as it is when the
+        completion continues.
         """
-        rules = sorted(self.index.rules, key=lambda r: self.order.key(r.lead))
-        return GroebnerBasis(self.algebra, self.order,
-                             [r.copy() for r in rules],
-                             self.max_degree, complete)
+        rules = sorted(self.index.rules.values(), key=lambda r: self.order.key(r.lead))
+        return GroebnerBasis(self.algebra, self.order, rules, self.max_degree, complete)
 
     def run(self, max_degree: int) -> GroebnerBasis:
         """Complete up to `max_degree`, continuing from the previous run."""
@@ -599,28 +620,27 @@ class _Completion:
         return self.basis(not self.skipped)
 
     def _queue_overlaps(self, rule: Rule):
-        l1 = rule.lead.arrows
-        if not l1:
+        lead = rule.lead
+        if not lead.arrows:
             return
         quiver, key = self.quiver, self.order.key
         seen = self.seen_overlaps
         for other in self.index.rules:
-            l2 = other.lead.arrows
-            if not l2:
+            if not other.arrows:
                 continue
-            for first, second in ((rule, other), (other, rule)):
-                a1, a2 = first.lead.arrows, second.lead.arrows
+            for first, second in ((lead, other), (other, lead)):
+                a1, a2 = first.arrows, second.arrows
                 for k in range(1, min(len(a1), len(a2))):
                     if a1[len(a1) - k:] != a2[:k]:
                         continue
-                    sig = (a1, a2, k)
+                    sig = (first, second, k)
                     if sig in seen:
                         continue
                     seen.add(sig)
                     word = a1 + a2[k:]
                     src = quiver.arrows[word[0]].source
                     path = Path(quiver, src, word, _check=False)
-                    entry = (path.degree, key(path), sig, first, second, k)
+                    entry = (path.degree, key(path), sig)
                     if path.degree > self.max_degree:
                         self.skipped.append(entry)
                     else:
@@ -633,19 +653,20 @@ class _Completion:
         rule = _make_rule(terms, order)
         lead = rule.lead
         # the new lead is irreducible, so a lead holding it holds it properly
-        retired = [r for r in index.rules if r.lead.arrows and _contains(quiver, r.lead, lead)]
+        retired = [r for r in index.rules.values()
+                   if r.lead.arrows and _contains(quiver, r.lead, lead)]
         for r in retired:
             index.remove(r)
             self.pending.append(r.poly_element())
         index.add(rule)
         # keep every tail fully reduced against the updated system: only a
         # tail holding the new lead became reducible
-        for r in index.rules:
+        for r in list(index.rules.values()):
             if not any(_contains(quiver, p, lead) for p in r.rest):
                 continue
             reduced, mult = _reduce_poly_terms(r.rest, index, quiver, order, budget)
             if mult.is_one():
-                r.set_rest(reduced, order)
+                fresh = Rule(r.lead, r.lc, reduced, order)
             else:
                 # lc * lead = rest got scaled: rescale lc accordingly, then
                 # restore primitivity of the full rule; the lead goes first,
@@ -653,16 +674,14 @@ class _Completion:
                 whole = {r.lead: r.lc * mult}
                 for p, c in reduced.items():
                     whole[p] = -c
-                prim = _primitive(whole)
-                fresh = _make_rule(prim, order)
-                r.lc, r.rest, r.compiled = fresh.lc, fresh.rest, fresh.compiled
+                fresh = _make_rule(_primitive(whole), order)
+            index.replace(r, fresh)
         self._queue_overlaps(rule)
 
     def _complete(self):
         index, quiver, order, budget = self.index, self.quiver, self.order, self.budget
         key = order.key
-        pending, overlap_queue = self.pending, self.overlap_queue
-        active = lambda r: (r in index.rules)
+        pending, overlap_queue, rules = self.pending, self.overlap_queue, index.rules
         while True:
             if pending:
                 normalized = []
@@ -677,16 +696,20 @@ class _Completion:
                 pending.extend(normalized[1:])
                 self._insert(normalized[0])
                 continue
+            # a pair is live while both leads lead rules: a retired lead
+            # holds an active one, so it never leads a rule again
             best_i = -1
             for i, entry in enumerate(overlap_queue):
-                if not (active(entry[3]) and active(entry[4])):
+                lead1, lead2, _ = entry[2]
+                if lead1 not in rules or lead2 not in rules:
                     continue
-                if best_i < 0 or entry[:3] < overlap_queue[best_i][:3]:
+                if best_i < 0 or entry < overlap_queue[best_i]:
                     best_i = i
             if best_i < 0:
                 return
-            _, _, _, r1, r2, k = overlap_queue.pop(best_i)
-            l1, l2 = r1.lead.arrows, r2.lead.arrows
+            lead1, lead2, k = overlap_queue.pop(best_i)[2]
+            r1, r2 = rules[lead1], rules[lead2]
+            l1, l2 = lead1.arrows, lead2.arrows
             tail = l2[k:]
             if _holds_inner_lead(index, l1 + tail):
                 continue
@@ -720,22 +743,21 @@ class _Completion:
 
 def truncated_groebner(
     algebra: AlgebraPresentation,
-    order: Optional[MonomialOrder] = None,
+    *,
     max_degree: Optional[int] = None,
     budget: Optional[Budget] = None,
 ) -> GroebnerBasis:
-    """Overlap completion truncated at `max_degree` (word degree).
+    """Overlap completion truncated at `max_degree` (word degree), by
+    default the presentation's `gb_degree`, under the presentation's order.
 
     Deterministic for fixed inputs.  Raises BudgetExceededError (carrying
     the partial basis in `.partial`) when the step cap is hit.
     """
-    if order is None:
-        order = algebra.order()
     if max_degree is None:
         max_degree = algebra.gb_degree
     if max_degree is None:
         raise PathAlgebraError("max_degree required (no default recorded on presentation)")
-    return _Completion(algebra, order, budget or Budget()).run(max_degree)
+    return _Completion(algebra, budget or Budget()).run(max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -747,14 +769,14 @@ def enumerate_normal_words(
     source: Optional[str] = None,
     target: Optional[str] = None,
     max_degree: Optional[int] = None,
-    max_count: int = 10 ** 6,
 ) -> List[Path]:
     """All irreducible words with the given endpoints, graded by degree.
 
     With max_degree=None the enumeration runs until a degree level is empty
     (valid because normal words are closed under taking prefixes); if it
     instead passes the pumping bound the quotient is infinite dimensional
-    and InfiniteDimensionError is raised.
+    and InfiniteDimensionError is raised.  More than MAX_NORMAL_WORDS words
+    raise BudgetExceededError.
     """
     quiver = gb.algebra.quiver
     if source is not None:
@@ -773,8 +795,9 @@ def enumerate_normal_words(
         for p in frontier:
             if target in (None, p.target):
                 out.append(p)
-        if len(out) > max_count:
-            raise BudgetExceededError("normal word enumeration exceeded max_count=%d" % max_count)
+        if len(out) > MAX_NORMAL_WORDS:
+            raise BudgetExceededError(
+                "normal word enumeration exceeded %d words" % MAX_NORMAL_WORDS)
         new: List[Path] = []
         for p in frontier:
             for a in quiver.arrows:
@@ -822,61 +845,51 @@ def _pumping_bound(gb: GroebnerBasis) -> int:
 
 def complete_groebner(
     algebra: AlgebraPresentation,
-    order: Optional[MonomialOrder] = None,
-    start_degree: Optional[int] = None,
-    max_truncation: int = 64,
+    *,
     budget: Optional[Budget] = None,
 ) -> GroebnerBasis:
     """The first complete truncated basis (no overlap skipped) on a rising
-    ladder of truncation degrees.
+    ladder of truncation degrees, under the presentation's order.
 
-    Starts at `start_degree`, by default twice the largest relation degree
-    and at least 4, and raises the degree by max(2, d // 2) each time.  All
-    rungs share one completion: each raises its truncation degree and
-    resolves only the overlaps the previous rungs skipped or created, so no
-    reduction is repeated.  The complete basis equals a from-scratch
+    Starts at twice the largest relation degree, and at least 4, and
+    raises the degree d by max(2, d // 2) each time.  All rungs share one
+    completion: each raises its truncation degree and resolves only the
+    overlaps the previous rungs skipped or created, so no reduction is
+    repeated.  The complete basis equals a from-scratch
     `truncated_groebner` at its degree, rule for rule.
 
-    Raises BudgetExceededError when no degree up to `max_truncation` gives
+    Raises BudgetExceededError when no degree up to MAX_TRUNCATION gives
     a complete basis; `.partial` is then the last incomplete basis.  When
     the step budget runs out on a rung, `.partial` is the basis at that
     rung's degree.
     """
-    if order is None:
-        order = algebra.order()
-    completion = _Completion(algebra, order, budget or Budget())
-    d = start_degree or max(2 * completion.max_rel_degree, 4)
+    completion = _Completion(algebra, budget or Budget())
+    d = max(2 * completion.max_rel_degree, 4)
     gb = None
-    while d <= max_truncation:
+    while d <= MAX_TRUNCATION:
         gb = completion.run(d)
         if gb.complete:
             return gb
         d = d + max(2, d // 2)
     if gb is None:
         raise BudgetExceededError(
-            "no complete basis: the start degree %d exceeds max_truncation %d"
-            % (d, max_truncation))
+            "no complete basis: the start degree %d exceeds the truncation cap %d"
+            % (d, MAX_TRUNCATION))
     raise BudgetExceededError(
         "no complete basis up to truncation degree %d: the basis at degree %d, "
         "the highest tried, has %d rules and skips overlaps above it"
-        % (max_truncation, gb.truncation_degree, len(gb.rules)), partial=gb)
+        % (MAX_TRUNCATION, gb.truncation_degree, len(gb.rules)), partial=gb)
 
 
-def dimension(
-    algebra: AlgebraPresentation,
-    order: Optional[MonomialOrder] = None,
-    start_degree: Optional[int] = None,
-    max_truncation: int = 64,
-    budget: Optional[Budget] = None,
-):
+def dimension(algebra: AlgebraPresentation, *, budget: Optional[Budget] = None):
     """Total normal-word count when finite; INFINITE for provable growth.
 
     A complete basis (`complete_groebner`) either hits an empty degree
     level (finite, exact count) or passes the pumping bound (infinite
     dimensional).  Budget exhaustion raises BudgetExceededError.
     """
-    gb = complete_groebner(algebra, order, start_degree, max_truncation, budget)
+    gb = complete_groebner(algebra, budget=budget)
     try:
-        return len(enumerate_normal_words(gb, None, None, None))
+        return len(enumerate_normal_words(gb))
     except InfiniteDimensionError:
         return INFINITE

@@ -237,9 +237,6 @@ class MonomialOrder:
             digits = digits * base + r[i]
         return (path.degree, len(path.arrows), digits)
 
-    def less(self, p: Path, q: Path) -> bool:
-        return self.key(p) < self.key(q)
-
     def __eq__(self, other):
         return (
             isinstance(other, MonomialOrder)
@@ -303,18 +300,12 @@ class Element:
             return -1
         return max(p.degree for p in self.terms)
 
-    def support(self) -> List[Path]:
-        return list(self.terms)
-
     def endpoints(self) -> Optional[Tuple[str, str]]:
         """(source, target) if endpoint homogeneous, else None."""
         eps = {(p.source, p.target) for p in self.terms}
         if len(eps) == 1:
             return next(iter(eps))
         return None
-
-    def coefficient(self, path: Path) -> RatFunc:
-        return self.terms.get(path, RatFunc.coerce(self.params, 0))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -455,17 +446,15 @@ class Element:
         return "Element(%s)" % self.format()
 
 
-def element_arith(x: Element, y: Element, op: str, scalar=None) -> Element:
-    """add | sub | mul | scale; errors on algebra mismatch."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "scale":
-        return x.scale(scalar)
-    raise PathAlgebraError("unknown op %r" % op)
+def is_multiple(x: Element, g: Element) -> bool:
+    """Whether the nonzero x is r * g for one coefficient r: the same words,
+    with one ratio between their coefficients."""
+    xt, gt = x.terms, g.terms
+    if xt.keys() != gt.keys():
+        return False
+    w = next(iter(xt))
+    r = xt[w] / gt[w]
+    return all(c == r * gt[p] for p, c in xt.items())
 
 
 class AlgebraPresentation:

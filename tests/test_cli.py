@@ -116,7 +116,7 @@ def test_contraction_budget_names_the_truncation_degree(capsys):
     # a budget of exactly the steps of the first rung, degree 8, lets that
     # rung finish and runs out at the next one, degree 12
     con = contraction_presentation(builtins()["length-4-nccr"].presentation(), "0")
-    first = _Completion(con, con.order(), Budget())
+    first = _Completion(con, Budget())
     first.run(8)
     code, _ = invoke(["contraction", "--builtin", "length-4-nccr", "--length", "4",
                       "--budget", str(first.budget.steps)])

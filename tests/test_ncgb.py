@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from flopcalc import ncgb
 from flopcalc.catalog import builtins, universal_flopping_algebra
 from flopcalc.coeff import CoeffError, MultiPoly, ParamRing
 from flopcalc.contraction import contraction_presentation
@@ -346,17 +347,19 @@ def test_infinite_dimension_is_typed():
     assert issubclass(InfiniteDimensionError, BudgetExceededError)
 
 
-def test_complete_groebner_escalates_and_gives_up():
+def test_complete_groebner_escalates_and_gives_up(monkeypatch):
     # incomplete at degrees 4 and 6, complete at 9
     gb = complete_groebner(pres_from(TWO_VERTEX))
     assert gb.complete and gb.truncation_degree == 9
+    monkeypatch.setattr(ncgb, "MAX_TRUNCATION", 8)
     with pytest.raises(BudgetExceededError, match="no complete basis"):
-        complete_groebner(pres_from(TWO_VERTEX), max_truncation=8)
+        complete_groebner(pres_from(TWO_VERTEX))
 
 
-def test_complete_groebner_gives_up_with_the_last_basis():
+def test_complete_groebner_gives_up_with_the_last_basis(monkeypatch):
+    monkeypatch.setattr(ncgb, "MAX_TRUNCATION", 8)
     with pytest.raises(BudgetExceededError) as err:
-        complete_groebner(pres_from(TWO_VERTEX), max_truncation=8)
+        complete_groebner(pres_from(TWO_VERTEX))
     partial = err.value.partial
     assert partial.truncation_degree == 6 and not partial.complete
     assert "at degree 6" in str(err.value)
@@ -367,7 +370,7 @@ def test_budget_exhaustion_mid_ladder_carries_the_current_rung():
     # a budget of exactly the steps of the first rung, degree 4, lets that
     # rung finish and runs out at the next one, degree 6
     pres = pres_from(TWO_VERTEX)
-    first = _Completion(pres, pres.order(), Budget())
+    first = _Completion(pres, Budget())
     first.run(4)
     with pytest.raises(BudgetExceededError) as err:
         complete_groebner(pres, budget=Budget(first.budget.steps))
@@ -393,12 +396,29 @@ def test_resumed_ladder_matches_a_from_scratch_run(name):
     assert ladder.steps <= scratch.steps
 
 
+# a rule of degree 6 rewrites the tail of a rule the degree-4 basis holds
+TAIL_REWRITE = ("params:\nvertices: 0\narrows: x: 0 -> 0, y: 0 -> 0\n"
+            "relations: x*y^2 - x^2 - y ; 2*y^2*x - x^2*y + y^3")
+
+
 def test_a_handed_out_basis_does_not_change_when_the_ladder_continues():
-    # a rule of degree 6 rewrites the tail of a rule the degree-4 basis holds
-    pres = pres_from("params:\nvertices: 0\narrows: x: 0 -> 0, y: 0 -> 0\n"
-                     "relations: x*y^2 - x^2 - y ; 2*y^2*x - x^2*y + y^3")
-    completion = _Completion(pres, pres.order(), Budget())
+    pres = pres_from(TAIL_REWRITE)
+    completion = _Completion(pres, Budget())
     low = completion.run(4)
     text = low.serialize()
     completion.run(6)
     assert low.serialize() == text
+
+
+def test_a_rule_never_changes_once_built():
+    pres = pres_from(TAIL_REWRITE)
+    completion = _Completion(pres, Budget())
+    low = completion.run(4)
+    # a handed-out basis shares its rule objects with the index
+    assert all(completion.index.rules[r.lead] is r for r in low.rules)
+    built = [(r, r.lc, r.rest, r.compiled) for r in completion.index.rules.values()]
+    # the degree-6 rule rewrites two of these tails, and every rule of
+    # degree 4 is retired by the end: each keeps what it was built with
+    completion.run(6)
+    for r, lc, rest, compiled in built:
+        assert r.lc is lc and r.rest is rest and r.compiled is compiled
