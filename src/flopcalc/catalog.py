@@ -19,7 +19,6 @@ the catalog doubles as a test corpus for the parser.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coeff import MultiPoly, ParamRing, RatFunc, elementary_symmetric, parse_poly
@@ -28,6 +27,7 @@ from .pathalg import (
     Element,
     PathAlgebraError,
     Quiver,
+    algebra_map,
     is_multiple,
     parse_element,
     parse_presentation,
@@ -983,36 +983,13 @@ def central_fibre_consistent(entry: FlopCatalogEntry) -> bool:
     the stored central-fibre relations (up to nonzero scalar, zeros dropped)."""
     pres = entry.presentation()
     cf = entry.central_fibre_presentation()
-    ring = pres.params
-    zero_map = {n: ring.zero() for n in ring.names}
-
-    def to_cf(elem: Element) -> Element:
-        # move a relation of the universal presentation to the central fibre
-        out = Element.zero(cf.quiver, cf.params)
-        subs = {
-            name: parse_element(text, cf.quiver, cf.params)
-            for name, text in entry.central_fibre_map.items()
-        }
-        for path, coeff in elem.terms.items():
-            num = coeff.num.substitute(zero_map, ring)
-            den = coeff.den.substitute(zero_map, ring)
-            if den.is_zero():
-                raise CatalogError("central fibre substitution hit a zero denominator")
-            if num.is_zero():
-                continue
-            c = Fraction(num.constant_value(), 1) / den.constant_value()
-            term = Element.idempotent(cf.quiver, cf.params, path.source).scale(c)
-            for ai in path.arrows:
-                name = pres.quiver.arrows[ai].name
-                factor = subs.get(name)
-                if factor is None:
-                    factor = Element.arrow(cf.quiver, cf.params, name)
-                term = term * factor
-            out = out + term
-        return out
-
-    images = [to_cf(r) for r in pres.relations]
-    images = [e for e in images if not e.is_zero()]
+    zero_map = {n: cf.params.zero() for n in pres.params.names}
+    loops = {name: parse_element(text, cf.quiver, cf.params)
+             for name, text in entry.central_fibre_map.items()}
+    images = (algebra_map(r, cf.quiver, cf.params, loops,
+                          lambda c: c.substitute(zero_map, cf.params))
+              for r in pres.relations)
+    images = [img for img in images if not img.is_zero()]
     targets = list(cf.relations)
 
     for tgt in targets:

@@ -39,9 +39,9 @@ from .ncgb import (
 from .pathalg import (
     AlgebraPresentation,
     Element,
-    Path,
     PathAlgebraError,
     Quiver,
+    algebra_map,
     arrow_path,
     compose,
 )
@@ -67,40 +67,23 @@ class ContractionReport:
 
 
 def contraction_presentation(alg: AlgebraPresentation, e0) -> AlgebraPresentation:
-    """The quotient A / A e0 A, presented on the remaining quiver."""
+    """The quotient A / A e0 A on the remaining quiver: its relations are the
+    nonzero images of A's under the `algebra_map` that kills e0's arrows."""
     e0 = str(e0)
     if e0 not in alg.quiver.vertices:
         raise ContractionError("vertex %r is not in the quiver" % e0)
     keep_vertices = [v for v in alg.quiver.vertices if v != e0]
     if not keep_vertices:
         raise ContractionError("contraction would remove every vertex")
-    keep_arrows = [a for a in alg.quiver.arrows if a.source != e0 and a.target != e0]
-    quiver = Quiver(keep_vertices, [(a.name, a.source, a.target, a.degree) for a in keep_arrows],
+    dropped = {a.name: None for a in alg.quiver.arrows if e0 in (a.source, a.target)}
+    quiver = Quiver(keep_vertices, [(a.name, a.source, a.target, a.degree)
+                                    for a in alg.quiver.arrows if a.name not in dropped],
                     name=(alg.quiver.name + "-con") if alg.quiver.name else "")
-    name_ok = {a.name for a in keep_arrows}
-
-    def survives(path) -> bool:
-        if path.source == e0 or path.target == e0:
-            return False
-        return all(alg.quiver.arrows[i].name in name_ok for i in path.arrows)
-
-    relations = []
-    for rel in alg.relations:
-        ep = rel.endpoints()
-        if ep is not None and e0 in ep:
-            continue  # the whole relation lives through e0
-        terms = {}
-        for path, coeff in rel.terms.items():
-            if not survives(path):
-                continue
-            arrows = tuple(quiver.arrow(alg.quiver.arrows[i].name).index for i in path.arrows)
-            terms[Path(quiver, path.source, arrows, _check=False)] = coeff
-        img = Element(quiver, alg.params, terms)
-        if not img.is_zero():
-            relations.append(img)
+    images = (algebra_map(r, quiver, alg.params, dropped) for r in alg.relations)
+    relations = [img for img in images if not img.is_zero()]
     precedence = None
     if alg.precedence:
-        precedence = [n for n in alg.precedence if n in name_ok]
+        precedence = [n for n in alg.precedence if n not in dropped]
     return AlgebraPresentation(quiver, alg.params, relations,
                                name=(alg.name + "-con") if alg.name else "contraction",
                                precedence=precedence, gb_degree=alg.gb_degree)

@@ -42,6 +42,7 @@ from .pathalg import (
     MonomialOrder,
     Path,
     PathAlgebraError,
+    algebra_map,
     idempotent_path,
     is_multiple,
 )
@@ -493,32 +494,21 @@ def matrix_factorization(source, gb_degree: Optional[int] = None, basis: str = "
 # ---------------------------------------------------------------------------
 
 def specialize(alg: AlgebraPresentation, mapping: Mapping[str, Union[str, MultiPoly]],
-               ring: Optional[ParamRing] = None, name: str = "") -> AlgebraPresentation:
-    """Push the presentation along a parameter substitution.
+               ring: ParamRing, name: str = "") -> AlgebraPresentation:
+    """Push the presentation along a parameter substitution into `ring`.
 
-    `mapping` sends parameter names to polynomials over the target ring
-    (texts are parsed over `ring`); unmapped parameters must exist in the
-    target ring and are retained.
+    `mapping` sends parameter names to polynomials over `ring` (texts are
+    parsed over it); unmapped parameters must exist in `ring` and are
+    retained.
     """
-    if ring is None:
-        polys = [v for v in mapping.values() if isinstance(v, MultiPoly)]
-        if polys:
-            ring = polys[0].ring
-        else:
-            keep = [n for n in alg.params.names if n not in mapping]
-            ring = ParamRing(keep)
     poly_map: Dict[str, MultiPoly] = {}
     for k, v in mapping.items():
         alg.params.index(k)
         poly_map[k] = parse_poly(v, ring) if isinstance(v, str) else v.cast(ring)
-    relations = []
-    for r in alg.relations:
-        img = r.map_coefficients(lambda c: c.substitute(poly_map, ring))
-        img = Element(r.quiver, ring, img.terms)
-        if not img.is_zero():
-            relations.append(img)
+    images = (algebra_map(r, alg.quiver, ring, coeff=lambda c: c.substitute(poly_map, ring))
+              for r in alg.relations)
     return AlgebraPresentation(
-        alg.quiver, ring, relations,
+        alg.quiver, ring, [img for img in images if not img.is_zero()],
         name=name or (alg.name + "-specialized" if alg.name else "specialized"),
         precedence=alg.precedence, gb_degree=alg.gb_degree,
     )
@@ -533,7 +523,7 @@ def cyclic_derivative(w: Element, arrow: str) -> Element:
     occurrence to the front and delete it; sum with coefficients."""
     quiver = w.quiver
     a = quiver.arrow(arrow)
-    out = Element.zero(quiver, w.params)
+    terms: Dict[Path, RatFunc] = {}
     for path, coeff in w.terms.items():
         if path.source != path.target:
             raise PipelineError(
@@ -543,10 +533,14 @@ def cyclic_derivative(w: Element, arrow: str) -> Element:
         for i, ai in enumerate(arrows):
             if ai != a.index:
                 continue
-            rotated = arrows[i + 1:] + arrows[:i]
-            out = out + Element.from_path(
-                quiver, w.params, Path(quiver, a.target, rotated, _check=False), coeff)
-    return out
+            rotated = Path(quiver, a.target, arrows[i + 1:] + arrows[:i], _check=False)
+            s = terms.get(rotated)
+            s = coeff if s is None else s + coeff
+            if s.is_zero():
+                del terms[rotated]
+            else:
+                terms[rotated] = s
+    return Element(quiver, w.params, terms)
 
 
 class SuperpotentialReport(CheckReport):

@@ -5,6 +5,9 @@ path) pairs.  Paths are typed by source and target vertex, with the empty
 path at v acting as the idempotent e_v, so non-composable products are zero
 by construction rather than by bookkeeping.
 
+A presentation derived from another (the contraction algebra A/Ae0A, a
+specialisation, the central fibre) maps its relations along `algebra_map`.
+
 The module also owns the line-oriented presentation file format::
 
     name: length-2
@@ -20,7 +23,7 @@ The module also owns the line-oriented presentation file format::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .coeff import (
     CoeffError,
@@ -47,9 +50,11 @@ def _check_power_degree(degree: int) -> None:
 
 
 class ParseError(PathAlgebraError):
-    """Malformed input; `line` and `column` (both from 1) locate it when known."""
+    """Malformed input; `line` and `column` (both from 1) locate it when known,
+    and `message` is the text without them."""
 
     def __init__(self, message, line=None, column=None):
+        self.message = message
         where = []
         if line is not None:
             where.append("line %d" % line)
@@ -58,6 +63,14 @@ class ParseError(PathAlgebraError):
         super().__init__(message + (" (%s)" % ", ".join(where) if where else ""))
         self.line = line
         self.column = column
+
+
+class ArrowSpecError(PathAlgebraError):
+    """A bad arrow given to `Quiver`; `index` is its position in the list."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
 
 
 class Arrow:
@@ -95,9 +108,9 @@ class Quiver:
                 deg = spec[3] if len(spec) > 3 else 1
                 a = Arrow(nm, src, tgt, deg, i)
             if a.name in names:
-                raise PathAlgebraError("duplicate arrow name %r" % a.name)
+                raise ArrowSpecError("duplicate arrow name %r" % a.name, i)
             if a.source not in vset or a.target not in vset:
-                raise PathAlgebraError("arrow %r has undeclared endpoint" % a.name)
+                raise ArrowSpecError("arrow %r has undeclared endpoint" % a.name, i)
             names.add(a.name)
             built.append(a)
         self.arrows = tuple(built)
@@ -391,21 +404,6 @@ class Element:
     def __hash__(self):
         return hash((self.quiver, self.params, frozenset(self.terms.items())))
 
-    def map_coefficients(self, fn) -> "Element":
-        terms = {}
-        for p, c in self.terms.items():
-            c2 = fn(c)
-            if not c2.is_zero():
-                terms[p] = c2
-        return Element(self.quiver, self.params, terms)
-
-    def cast(self, params: ParamRing) -> "Element":
-        return Element(
-            self.quiver,
-            params,
-            {p: RatFunc.coerce(params, c) for p, c in self.terms.items()},
-        )
-
     # -- printing -----------------------------------------------------------
 
     def format(self, order: Optional[MonomialOrder] = None) -> str:
@@ -455,6 +453,37 @@ def is_multiple(x: Element, g: Element) -> bool:
     w = next(iter(xt))
     r = xt[w] / gt[w]
     return all(c == r * gt[p] for p, c in xt.items())
+
+
+def algebra_map(x: Element, quiver: Quiver, params: ParamRing,
+                arrows: Optional[Mapping[str, Optional[Element]]] = None,
+                coeff: Optional[Callable[[RatFunc], RatFunc]] = None) -> Element:
+    """The image of x in the path algebra of `quiver` over `params`.
+
+    The map sends e_v to e_v, or to zero when v is not a vertex of
+    `quiver`; an arrow named in `arrows` to its image there (None is zero),
+    and any other arrow to the arrow of the same name; a coefficient c to
+    coeff(c), or to c.  Each term's image is the product of those images.
+    """
+    arrows = arrows or {}
+    images: Dict[int, Optional[Element]] = {}
+    out = Element.zero(quiver, params)
+    for path, c in x.terms.items():
+        if path.source not in quiver.vertices:
+            continue
+        if coeff is not None:
+            c = coeff(c)
+        term = Element.idempotent(quiver, params, path.source).scale(c)
+        for i in path.arrows:
+            if i not in images:
+                name = x.quiver.arrows[i].name
+                images[i] = arrows[name] if name in arrows else Element.arrow(quiver, params, name)
+            if images[i] is None:
+                break
+            term = term * images[i]
+        else:
+            out = out + term
+    return out
 
 
 class AlgebraPresentation:
@@ -616,12 +645,14 @@ def parse_presentation(text: str) -> AlgebraPresentation:
     grading: Dict[str, int] = {}
     vertices: List[str] = []
     arrow_specs: List[Tuple[str, str, str, int]] = []
-    relation_texts: List[Tuple[str, int]] = []
+    arrow_lines: List[int] = []
+    relation_texts: List[Tuple[str, int, int]] = []
     precedence: Optional[List[str]] = None
     gb_degree: Optional[int] = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        body = raw.split("#", 1)[0]
+        line = body.strip()
         if not line:
             continue
         if ":" not in line:
@@ -648,11 +679,14 @@ def parse_presentation(text: str) -> AlgebraPresentation:
         elif key == "arrows":
             for tok in _split_list(value):
                 arrow_specs.append(_parse_arrow_spec(tok, lineno))
+                arrow_lines.append(lineno)
         elif key == "relations":
-            for part in value.split(";"):
-                part = part.strip()
-                if part:
-                    relation_texts.append((part, lineno))
+            at = body.index(":") + 1  # offset of each relation text in the line
+            for part in body[at:].split(";"):
+                if part.strip():
+                    offset = at + len(part) - len(part.lstrip())
+                    relation_texts.append((part.strip(), lineno, offset))
+                at += len(part) + 1
         elif key == "precedence":
             precedence = _split_list(value)
         elif key == "gb_degree":
@@ -665,14 +699,18 @@ def parse_presentation(text: str) -> AlgebraPresentation:
     try:
         ring = ParamRing(params, grading)
         quiver = Quiver(vertices, arrow_specs, name=name)
+    except ArrowSpecError as exc:
+        raise ParseError(str(exc), line=arrow_lines[exc.index])
     except (CoeffError, PathAlgebraError) as exc:
         raise ParseError(str(exc))
     relations = []
-    for text_r, lineno in relation_texts:
+    for text_r, lineno, at in relation_texts:
         try:
             rel = parse_element(text_r, quiver, ring)
-        except (CoeffError, ParseError) as exc:
-            raise ParseError("in relation %r: %s" % (text_r, exc), line=lineno)
+        except ParseError as exc:
+            column = None if exc.column is None else at + exc.column
+            raise ParseError("in relation %r: %s" % (text_r, exc.message),
+                             line=lineno, column=column)
         if not rel.is_zero() and rel.endpoints() is None:
             raise ParseError("relation %r is not endpoint homogeneous" % text_r, line=lineno)
         relations.append(rel)

@@ -14,6 +14,7 @@ from flopcalc.catalog import (
     verify_invariants,
 )
 from flopcalc.coeff import parse_poly
+from flopcalc.pathalg import algebra_map
 
 
 def test_catalog_presentations_all_validate():
@@ -57,8 +58,9 @@ def test_length1_is_deformed_preprojective_A1():
     ring = uni.params
     images = []
     for r in dp.relations:
-        r = r.map_coefficients(lambda c: c.substitute({"t1": -ring.var("t")}, ring))
-        images.append(uni.element(r.__class__(r.quiver, ring, r.terms).format()))
+        r = algebra_map(r, r.quiver, ring,
+                        coeff=lambda c: c.substitute({"t1": -ring.var("t")}, ring))
+        images.append(uni.element(r.format()))
     assert images == uni.relations
 
 
@@ -94,8 +96,8 @@ def test_deformed_at_zero_is_preprojective():
         ring = dp.params
         zero_map = {n: ring.zero() for n in ring.names}
         for rd, rp in zip(dp.relations, pp.relations):
-            image = rd.map_coefficients(lambda c: c.substitute(zero_map, ring))
-            plain = rp.cast(ring)
+            image = algebra_map(rd, rd.quiver, ring, coeff=lambda c: c.substitute(zero_map, ring))
+            plain = algebra_map(rp, rp.quiver, ring)
             assert image.terms == plain.terms
 
 

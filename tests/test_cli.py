@@ -244,8 +244,12 @@ def test_malformed_rep_files_are_usage_errors_naming_the_line(tmp_path, capsys):
      "ring: t\ndims: 0=1, 4=1\nmatrix a: [t, 1 +]\n", "(line 3, column 18)"),
     (["specialize", "--builtin", "length-2", "--map"], "ring:\n  t = 1 +\n",
      "end of input at position 3 (line 2, column 10)"),
+    (["contraction", "--vertex", "0", "--in"],
+     "params: t\nvertices: 0\narrows: a: 0 -> 0\nrelations: a*a - t*$\n",
+     "unexpected character '$' at position 8 (line 4, column 20)"),
 ], ids=["catalog-show-no-name", "verify-rep-no-source", "rep-dims-omit-vertex",
-        "rep-ragged-matrix", "rep-bad-map-value", "rep-bad-matrix-entry", "map-bad-value"])
+        "rep-ragged-matrix", "rep-bad-map-value", "rep-bad-matrix-entry", "map-bad-value",
+        "presentation-bad-relation"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message):
     if text is not None:
         path = tmp_path / "input.txt"

@@ -11,6 +11,7 @@ from flopcalc.pathalg import (
     MAX_POWER_DEGREE,
     PathAlgebraError,
     Quiver,
+    algebra_map,
     arrow_path,
     compose,
     format_presentation,
@@ -207,6 +208,23 @@ def test_parse_rejects_bad_integers_naming_the_line(line, what):
 
 
 @pytest.mark.parametrize("text, message", [
+    ("params: t\nvertices: 0\narrows: a: 0 -> 0\nrelations: a*a - t*$",
+     "in relation 'a*a - t*$': unexpected character '$' at position 8 (line 4, column 20)"),
+    ("params: t\nvertices: 0\narrows: a: 0 -> 0\n  relations:  a ; q*a  # note",
+     "in relation 'q*a': unknown name 'q' (not an arrow, idempotent, or parameter)"
+     " (line 4, column 19)"),
+    ("params:\nvertices: 0\narrows: b: 0 -> 0\narrows: a: 0 -> 1\nrelations:",
+     "arrow 'a' has undeclared endpoint (line 4)"),
+    ("params:\nvertices: 0\narrows: a: 0 -> 0\n\narrows: b: 0 -> 0, a: 0 -> 0\nrelations:",
+     "duplicate arrow name 'a' (line 5)"),
+])
+def test_presentation_errors_give_the_line_and_its_column(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
     ("b**c", "unexpected token '*' (column 3)"),
     ("b*(", "unexpected end of input (column 4)"),
     ("(b", "expected ) at position 2, found end of input (column 3)"),
@@ -220,6 +238,17 @@ def test_element_parse_errors_say_where(text, message):
     with pytest.raises(ParseError) as err:
         pres.element(text)
     assert str(err.value) == message
+
+
+def test_algebra_map_sends_e0_and_paths_through_it_to_zero(l2):
+    # the contraction map at vertex 0: e0, a and A go to zero
+    at4 = parse_presentation("params: t, T0b, T0c, T0d\nvertices: 4\n"
+                             "arrows: b: 4 -> 4, c: 4 -> 4, d: 4 -> 4\nrelations:")
+    drop = {"a": None, "A": None}
+    for text in ("e0", "a*A", "A*a", "b*A*a*c", "t*a*b*A"):
+        assert algebra_map(l2.element(text), at4.quiver, at4.params, drop).is_zero()
+    image = algebra_map(l2.element("A*a + b + c*d - t*e0 + T0b*e4"), at4.quiver, at4.params, drop)
+    assert image == at4.element("b + c*d + T0b*e4")
 
 
 def test_arrow_degree_syntax():
