@@ -244,8 +244,7 @@ class FlopCatalogEntry:
                  central_fibre_text: str, central_fibre_map: Dict[str, str],
                  x: str, aux: Sequence[Tuple[str, str]], generators: List[str],
                  invariants: InvariantData, pipeline_gb_degree: int,
-                 nice_param_map: Optional[Dict[str, str]] = None,
-                 nice_vars: Optional[Tuple[str, ...]] = None):
+                 nice: Optional[Tuple[Tuple[str, ...], Dict[str, str]]] = None):
         self.length = length
         self.coloring = coloring
         self.diagram = coloring.diagram
@@ -257,8 +256,8 @@ class FlopCatalogEntry:
         self.generator_texts = list(generators)
         self.invariants = invariants
         self.pipeline_gb_degree = pipeline_gb_degree
-        self.nice_param_map = nice_param_map
-        self.nice_vars = nice_vars
+        # (nice parameter names, raw parameter -> polynomial text in them)
+        self.nice = nice
 
     @property
     def name(self) -> str:
@@ -278,13 +277,18 @@ class FlopCatalogEntry:
     def pipeline(self) -> "PipelineData":
         """The pure presentation plus the commuting generator elements.
 
-        The change to a recorded nice basis (length 2) is a substitution on
-        pipeline outputs and is handled downstream; the presentation here
-        is always the raw one, truncated at the pipeline degree.
+        The presentation is always the raw one, truncated at the pipeline
+        degree.  A recorded nice basis (length 2) becomes the ring map
+        `PipelineData.nice_basis`, which the pipeline applies to its outputs.
         """
         pres = self.presentation()
         pres.gb_degree = self.pipeline_gb_degree
-        return PipelineData(self, pres, self.x_text, self.aux_texts, self.generator_texts)
+        nice_basis = None
+        if self.nice is not None:
+            names, texts = self.nice
+            ring = ParamRing(tuple(names) + tuple(n for n, _ in self.aux_texts))
+            nice_basis = (ring, {k: parse_poly(v, ring) for k, v in texts.items()})
+        return PipelineData(pres, self.x_text, self.aux_texts, self.generator_texts, nice_basis)
 
     def __repr__(self):
         return "FlopCatalogEntry(length=%d, %s)" % (self.length, self.coloring)
@@ -298,12 +302,14 @@ class PipelineData:
     basis is truncated at `presentation.gb_degree` unless a caller gives a
     degree.  Words are weighted by the loop grading (loop arrows weigh 2,
     the rest 1), which bounds the auxiliary monomials a normal form can
-    involve.
+    involve.  `nice_basis` is the recorded change of basis, a pair (ring,
+    {raw parameter: polynomial over ring}) with the auxiliary names last in
+    ring, or None.
     """
 
-    def __init__(self, entry, presentation, x_text, aux_texts, generator_texts):
-        self.entry = entry
+    def __init__(self, presentation, x_text, aux_texts, generator_texts, nice_basis=None):
         self.presentation = presentation
+        self.nice_basis = nice_basis
         self.x_elem = presentation.element(x_text)
         self.aux = [(name, presentation.element(text)) for name, text in aux_texts]
         self.generators = [presentation.element(text) for text in generator_texts]
@@ -351,13 +357,12 @@ gb_degree: 6
 # change of basis is applied to the raw degree-12 equation):
 #   u = -T0b, w = -T0c, v = -(z + y + T0b + T0c - T0d + t^2/4)/2,
 #   x = x' - t v.
-_L2_NICE_MAP = {
+_L2_NICE = (("t", "u", "v", "w"), {
     "t": "t",
     "T0b": "-u",
     "T0c": "-w",
     "T0d": "z + y - u - w + (1/4)*t^2 + 2*v",
-}
-_L2_NICE_VARS = ("t", "u", "v", "w")
+})
 
 _L3_TEXT = """
 name: length-3
@@ -576,8 +581,7 @@ _ENTRY_SPECS = {
         x="a*b*c*A", aux=(("z", "a*b*A"), ("y", "a*c*A")),
         generators=["a", "a*b", "a*c", "a*b*c"],
         gb_degree=12,
-        nice_map=_L2_NICE_MAP,
-        nice_vars=_L2_NICE_VARS,
+        nice=_L2_NICE,
     ),
     3: dict(
         diagram="E6", black=6, text=_L3_TEXT, cf=_CF3_TEXT,
@@ -626,7 +630,7 @@ def universal_flopping_algebra(length: int) -> FlopCatalogEntry:
     return FlopCatalogEntry(
         length, coloring, spec["text"], spec["cf"], spec["cf_map"], spec["x"], spec["aux"],
         spec["generators"], _INV[length], spec["gb_degree"],
-        nice_param_map=spec.get("nice_map"), nice_vars=spec.get("nice_vars"),
+        nice=spec.get("nice"),
     )
 
 
@@ -842,8 +846,10 @@ class Builtin:
     def pipeline(self) -> PipelineData:
         if self.x_text is None:
             raise CatalogError("builtin %r has no pipeline data" % self.name)
-        return PipelineData(self, self.presentation(), self.x_text, self.aux_texts,
-                            self.generators)
+        return PipelineData(self.presentation(), self.x_text, self.aux_texts, self.generators)
+
+    def __repr__(self):
+        return "Builtin(%s)" % self.name
 
 
 def builtins() -> Dict[str, Builtin]:

@@ -219,29 +219,43 @@ def _parse_value(text: str, ring: ParamRing, lineno: int, start: int):
         raise ParseError(str(exc), line=lineno, column=column)
 
 
-def _parse_map_file(path: str):
-    """(ring names or None, [(parameter, value text, line number, offset)])."""
-    ring_names = None
+def _parse_ring(line: str, lineno: int) -> ParamRing:
+    """The ring of a `ring: name, ...` line."""
+    try:
+        return ParamRing([n.strip() for n in line[5:].split(",") if n.strip()])
+    except CoeffError as exc:
+        raise ParseError(str(exc), line=lineno)
+
+
+def _parameter(name: str, pres, lineno: int) -> str:
+    """`name`, once it is known to be a parameter of the presentation."""
+    if name not in pres.params.names:
+        raise ParseError("%r is not a parameter of the presentation" % name, line=lineno)
+    return name
+
+
+def _parse_map_file(path: str, pres):
+    """(ring or None, [(parameter, value text, line number, offset)])."""
+    ring = None
     entries = []
     for lineno, line, offset in _content_lines(path):
         if line.startswith("ring:"):
-            ring_names = [n.strip() for n in line[5:].split(",") if n.strip()]
+            ring = _parse_ring(line, lineno)
             continue
         if "=" not in line:
             raise ParseError("bad map line %r" % line, line=lineno)
         name, value = line.split("=", 1)
         value, at = _stripped(value, offset + len(name) + 1)
-        entries.append((name.strip(), value, lineno, at))
-    return ring_names, entries
+        entries.append((_parameter(name.strip(), pres, lineno), value, lineno, at))
+    return ring, entries
 
 
 def cmd_specialize(args, out: _Out):
     pres = _load_presentation(args)
-    ring_names, entries = _parse_map_file(args.map)
-    if ring_names is None:
+    ring, entries = _parse_map_file(args.map, pres)
+    if ring is None:
         mapped = {k for k, _, _, _ in entries}
-        ring_names = [n for n in pres.params.names if n not in mapped]
-    ring = ParamRing(ring_names)
+        ring = ParamRing([n for n in pres.params.names if n not in mapped])
     mapping = {k: _parse_value(v, ring, lineno, at) for k, v, lineno, at in entries}
     result = specialize(pres, mapping, ring)
     text = format_presentation(result)
@@ -276,30 +290,38 @@ def cmd_superpotential(args, out: _Out):
 
 
 def _parse_rep_file(path: str, alg):
-    ring_names: List[str] = []
+    ring = ParamRing(())
     dims = {}
     param_texts = {}  # parameter -> (line number, value text, offset)
     matrix_texts = {}  # arrow -> (line number, rows of (entry text, offset))
     for lineno, line, offset in _content_lines(path):
         if line.startswith("ring:"):
-            ring_names = [n.strip() for n in line[5:].split(",") if n.strip()]
+            ring = _parse_ring(line, lineno)
         elif line.startswith("dims:"):
             for part in line[5:].split(","):
                 v, eq, n = part.partition("=")
+                v = v.strip()
                 if not eq:
                     raise ParseError("dims entry %r is not vertex=dimension"
                                      % part.strip(), line=lineno)
-                dims[v.strip()] = _parse_int(n, "dimension of vertex %r" % v.strip(), lineno)
+                if v not in alg.quiver.vertices:
+                    raise ParseError("%r is not a vertex of the quiver" % v, line=lineno)
+                dims[v] = _parse_int(n, "dimension of vertex %r" % v, lineno)
+                if dims[v] < 0:
+                    raise ParseError("dimension of vertex %r is negative" % v, line=lineno)
         elif line.startswith("map:"):
             name, eq, value = line[4:].partition("=")
             if not eq:
                 raise ParseError("map line is not parameter = polynomial", line=lineno)
-            param_texts[name.strip()] = (lineno,) + _stripped(value, offset + 5 + len(name))
+            param_texts[_parameter(name.strip(), alg, lineno)] = (
+                (lineno,) + _stripped(value, offset + 5 + len(name)))
         elif line.startswith("matrix"):
             head, colon, value = line.partition(":")
             if not colon:
                 raise ParseError("matrix line is not matrix <arrow>: [rows]", line=lineno)
             name = head[len("matrix"):].strip()
+            if name not in [a.name for a in alg.quiver.arrows]:
+                raise ParseError("%r is not an arrow of the quiver" % name, line=lineno)
             value, at = _stripped(value, offset + len(head) + 1)
             if not (value.startswith("[") and value.endswith("]")):
                 raise ParseError("matrix rows must be bracketed", line=lineno)
@@ -312,11 +334,18 @@ def _parse_rep_file(path: str, alg):
     for v in alg.quiver.vertices:
         if v not in dims:
             raise ParseError("dims: gives no dimension for vertex %r" % v)
-    ring = ParamRing(ring_names)
     param_map = {k: _parse_value(text, ring, lineno, at)
                  for k, (lineno, text, at) in param_texts.items()}
     matrices = {k: [[_parse_value(text, ring, lineno, at) for text, at in row] for row in rows]
                 for k, (lineno, rows) in matrix_texts.items()}
+    for a in alg.quiver.arrows:
+        if a.name not in matrices:
+            raise ParseError("no matrix for arrow %r" % a.name)
+        m = matrices[a.name]
+        got, want = (len(m), len(m[0])), (dims[a.source], dims[a.target])
+        if got != want:
+            raise ParseError("matrix for %r has shape %r, expected %r" % (a.name, got, want),
+                             line=matrix_texts[a.name][0])
     return Representation(alg, dims, matrices, ring, param_map)
 
 

@@ -12,6 +12,9 @@
   Each is one leading-word echelon solve over Q[params] on the normal
   forms' words (`_express_in_span`), with all targets of a call sharing
   one echelon of the columns.
+* A recorded change of basis (`PipelineData.nice_basis`) is one ring map,
+  applied once to P and Q, and to C; a given hypersurface decides the
+  pipeline and the basis of its factorisation.
 * Presentations push forward along classifying maps on the parameter ring.
 * Superpotentials are checked by cyclic differentiation plus two-sided
   ideal membership in both directions; explicit chart representations are
@@ -71,13 +74,14 @@ class Hypersurface:
     NF(x'^2) decomposes as P x' + Q over the free module on {e0, x'}; the
     centering x := x' - P/2 gives f = x^2 - g with g = Q + P^2/4.  `ring`
     is the pipeline parameter ring extended by the auxiliary generator
-    names and the variable x.  A nice-basis hypersurface keeps the raw one
-    it was computed from in `raw`, and the change of basis in `basis_map`.
+    names and the variable x.  In a nice basis, P, Q and g are the images of
+    the raw ones under `basis_map` (None in the raw basis); `gb`,
+    `x_centered` and `aux_elements` always belong to the raw pipeline.
     """
 
     def __init__(self, pipeline: PipelineData, gb: GroebnerBasis,
                  P: MultiPoly, Q: MultiPoly, x_centered: Element,
-                 aux_elements):
+                 aux_elements, basis_map=None):
         self.pipeline = pipeline
         self.gb = gb
         self.P = P
@@ -89,8 +93,7 @@ class Hypersurface:
         self.g = (Q + P * P * Fraction(1, 4)).cast(self.ring)
         x = self.ring.var("x")
         self.equation = x * x - self.g
-        self.raw: Optional[Hypersurface] = None
-        self.basis_map = None
+        self.basis_map = basis_map
 
     def __repr__(self):
         return "Hypersurface(f = %s)" % self.equation
@@ -140,11 +143,8 @@ class _AuxMonomials:
         return out
 
     def monomial_poly(self, exps: Tuple[int, ...]) -> MultiPoly:
-        poly = self.ring.one()
-        for name, k in zip(self.names, exps):
-            if k:
-                poly = poly * self.ring.var(name) ** k
-        return poly
+        # the auxiliary names come last in the ring
+        return MultiPoly(self.ring, {(0,) * (len(self.ring.names) - len(exps)) + exps: 1})
 
     def monomial_element(self, exps: Tuple[int, ...]) -> Element:
         cached = self._powers.get(exps)
@@ -248,14 +248,6 @@ def _add_multiple(acc: Dict[int, MultiPoly], vec: Dict[int, MultiPoly], a: Multi
             acc[k] = s
 
 
-def _nice_entry(source):
-    """The catalog entry holding the source's recorded nice basis."""
-    entry = source if hasattr(source, "nice_param_map") else getattr(source, "entry", None)
-    if entry is None or getattr(entry, "nice_param_map", None) is None:
-        raise PipelineError("no recorded nice basis for %r" % (source,))
-    return entry
-
-
 def _expand(targets, module, aux: _AuxMonomials, gb: GroebnerBasis, budget: Budget,
             missing: str) -> List[Dict]:
     """Expand each target's normal form over a free module on the subring.
@@ -299,28 +291,16 @@ def hypersurface(source, gb_degree: Optional[int] = None, basis: str = "raw",
     Computes NF(x'^2) and expands it over the monomials in the auxiliary
     central generators paired with {e0, x'}; the expansion coefficients
     assemble P and Q with f = x^2 - g, g = Q + P^2/4 after centering.
-    basis='nice' applies the recorded change of basis to the output,
-    exactly as the change of basis is applied to the raw equation.
-    Raises TruncationInsufficientError (with a degree hint) when the
-    expansion fails at this truncation.
+    basis='nice' then substitutes the recorded change of basis
+    (`PipelineData.nice_basis`) into P and Q, after the raw result has
+    passed its centering check.  Raises TruncationInsufficientError (with
+    a degree hint) when the expansion fails at this truncation.
     """
     if basis not in ("raw", "nice"):
         raise PipelineError("unknown basis %r" % (basis,))
-    if basis == "nice":
-        entry = _nice_entry(source)
-        raw = hypersurface(source, gb_degree=gb_degree, budget=budget)
-        aux = raw.aux_elements
-        # the raw parameters go to polynomials in the nice ones
-        ring = ParamRing(tuple(entry.nice_vars) + tuple(aux.names))
-        mapping = {k: parse_poly(v, ring) for k, v in entry.nice_param_map.items()}
-        hyp = Hypersurface(raw.pipeline, raw.gb,
-                           raw.P.substitute(mapping, ring),
-                           raw.Q.substitute(mapping, ring),
-                           raw.x_centered, aux)
-        hyp.raw = raw
-        hyp.basis_map = (ring, mapping)
-        return hyp
     pipe = _pipeline_of(source)
+    if basis == "nice" and pipe.nice_basis is None:
+        raise PipelineError("no recorded nice basis for %s" % (pipe.presentation.name or "?"))
     budget = budget or Budget()
     pres = pipe.presentation
     gb = truncated_groebner(pres, max_degree=gb_degree, budget=budget)
@@ -347,12 +327,15 @@ def hypersurface(source, gb_degree: Optional[int] = None, basis: str = "raw",
     hyp = Hypersurface(pipe, gb, P, Q, x_centered, aux)
 
     # the centering must reduce x^2 to the pure central polynomial g
-    g_no_x = hyp.g.substitute({"x": hyp.ring.zero()}, hyp.ring).cast(aux.ring)
     check = reduce_element(x_centered * x_centered, gb, budget)
-    g_elem = reduce_element(_poly_as_element(g_no_x, aux, e0_elem), gb, budget)
+    g_elem = reduce_element(_poly_as_element(hyp.g.cast(aux.ring), aux, e0_elem), gb, budget)
     if check != g_elem:
         raise PipelineError("internal: NF(x^2) disagrees with g after centering")
-    return hyp
+    if basis == "raw":
+        return hyp
+    ring, mapping = pipe.nice_basis
+    return Hypersurface(pipe, gb, P.substitute(mapping, ring), Q.substitute(mapping, ring),
+                        x_centered, aux, pipe.nice_basis)
 
 
 def _poly_as_element(poly: MultiPoly, aux: _AuxMonomials, e0_elem: Element) -> Element:
@@ -388,7 +371,7 @@ class MatrixFactorization:
         self.generators = generators
         self.C = C
         self.size = len(generators)
-        self.g = hyp.g.substitute({"x": hyp.P.ring.zero()}, hyp.P.ring)
+        self.g = hyp.g.cast(hyp.P.ring)
 
     def check(self) -> bool:
         """Exact verification of C^2 = g I in the commutative ring."""
@@ -433,27 +416,17 @@ def matrix_factorization(source, gb_degree: Optional[int] = None, basis: str = "
     Each NF(x . g_i) is expanded over the module basis {m g_j} (auxiliary
     monomial times generator, unique by freeness).  The module basis is one
     column matrix for all 2l rows of C, so it is echelonised once and the
-    2l images are reduced against that one echelon.
-    C^2 = g I is checked exactly before returning.
+    2l images are reduced against that one echelon; `hyp.basis_map`, if
+    set, then maps C.  C^2 = g I is checked exactly before returning.
+    A given `hyp` decides the pipeline and the basis (`basis` must name
+    it); without one, the hypersurface is computed on the same budget.
     """
-    if basis not in ("raw", "nice"):
-        raise PipelineError("unknown basis %r" % (basis,))
-    if basis == "nice":
-        if hyp is None:
-            hyp = hypersurface(source, gb_degree=gb_degree, basis="nice", budget=budget)
-        if hyp.raw is None:
-            raise PipelineError("basis='nice' needs a nice-basis hypersurface")
-        raw_mf = matrix_factorization(source, basis="raw", budget=budget, hyp=hyp.raw)
-        ring, mapping = hyp.basis_map
-        C = [[e.substitute(mapping, ring) for e in row] for row in raw_mf.C]
-        mf = MatrixFactorization(hyp, raw_mf.generators, C)
-        if not mf.check():
-            raise PipelineError("matrix factorization identity broke under the basis change")
-        return mf
-    pipe = _pipeline_of(source)
     budget = budget or Budget()
     if hyp is None:
-        hyp = hypersurface(pipe, gb_degree=gb_degree, budget=budget)
+        hyp = hypersurface(source, gb_degree=gb_degree, basis=basis, budget=budget)
+    elif basis != ("raw" if hyp.basis_map is None else "nice"):
+        raise PipelineError("basis %r disagrees with the given hypersurface" % (basis,))
+    pipe = hyp.pipeline
     gb = hyp.gb
     pres = pipe.presentation
 
@@ -479,6 +452,9 @@ def matrix_factorization(source, gb_degree: Optional[int] = None, basis: str = "
                    "NF(x.g_%(i)d) does not expand over the generator module basis at "
                    "truncation %(degree)d; try %(next)d")
     C = [[row[j] for j in range(len(gen_nfs))] for row in rows]
+    if hyp.basis_map is not None:
+        ring, mapping = hyp.basis_map
+        C = [[e.substitute(mapping, ring) for e in row] for row in C]
 
     mf = MatrixFactorization(hyp, gen_paths, C)
     if not mf.check():

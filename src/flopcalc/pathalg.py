@@ -82,8 +82,6 @@ class Arrow:
         self.target = target
         self.degree = int(degree)
         self.index = index
-        if self.degree < 1:
-            raise PathAlgebraError("arrow %r must have positive degree" % name)
 
     def __repr__(self):
         return "Arrow(%s: %s -> %s)" % (self.name, self.source, self.target)
@@ -109,6 +107,8 @@ class Quiver:
                 a = Arrow(nm, src, tgt, deg, i)
             if a.name in names:
                 raise ArrowSpecError("duplicate arrow name %r" % a.name, i)
+            if a.degree < 1:
+                raise ArrowSpecError("arrow %r must have positive degree" % a.name, i)
             if a.source not in vset or a.target not in vset:
                 raise ArrowSpecError("arrow %r has undeclared endpoint" % a.name, i)
             names.add(a.name)
@@ -643,11 +643,13 @@ def parse_presentation(text: str) -> AlgebraPresentation:
     name = ""
     params: List[str] = []
     grading: Dict[str, int] = {}
+    ring = ParamRing(())
     vertices: List[str] = []
     arrow_specs: List[Tuple[str, str, str, int]] = []
     arrow_lines: List[int] = []
     relation_texts: List[Tuple[str, int, int]] = []
     precedence: Optional[List[str]] = None
+    precedence_line = 0
     gb_degree: Optional[int] = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -674,8 +676,15 @@ def parse_presentation(text: str) -> AlgebraPresentation:
                     params.append(nm)
                 else:
                     params.append(tok)
+            try:
+                ring = ParamRing(params, grading)
+            except CoeffError as exc:
+                raise ParseError(str(exc), line=lineno)
         elif key == "vertices":
-            vertices.extend(_split_list(value))
+            for v in _split_list(value):
+                if v in vertices:
+                    raise ParseError("vertex %r is declared twice" % v, line=lineno)
+                vertices.append(v)
         elif key == "arrows":
             for tok in _split_list(value):
                 arrow_specs.append(_parse_arrow_spec(tok, lineno))
@@ -689,6 +698,7 @@ def parse_presentation(text: str) -> AlgebraPresentation:
                 at += len(part) + 1
         elif key == "precedence":
             precedence = _split_list(value)
+            precedence_line = lineno
         elif key == "gb_degree":
             gb_degree = _parse_int(value, "gb_degree", lineno)
         else:
@@ -697,12 +707,14 @@ def parse_presentation(text: str) -> AlgebraPresentation:
     if not vertices:
         raise ParseError("no vertices declared")
     try:
-        ring = ParamRing(params, grading)
         quiver = Quiver(vertices, arrow_specs, name=name)
     except ArrowSpecError as exc:
         raise ParseError(str(exc), line=arrow_lines[exc.index])
-    except (CoeffError, PathAlgebraError) as exc:
-        raise ParseError(str(exc))
+    if precedence is not None:
+        try:
+            MonomialOrder(quiver, precedence)
+        except PathAlgebraError as exc:
+            raise ParseError(str(exc), line=precedence_line)
     relations = []
     for text_r, lineno, at in relation_texts:
         try:
@@ -714,12 +726,9 @@ def parse_presentation(text: str) -> AlgebraPresentation:
         if not rel.is_zero() and rel.endpoints() is None:
             raise ParseError("relation %r is not endpoint homogeneous" % text_r, line=lineno)
         relations.append(rel)
-    try:
-        return AlgebraPresentation(
-            quiver, ring, relations, name=name, precedence=precedence, gb_degree=gb_degree
-        )
-    except PathAlgebraError as exc:
-        raise ParseError(str(exc))
+    return AlgebraPresentation(
+        quiver, ring, relations, name=name, precedence=precedence, gb_degree=gb_degree
+    )
 
 
 def _parse_int(text: str, what: str, lineno: int) -> int:

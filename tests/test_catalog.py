@@ -49,6 +49,16 @@ def test_length2_entry_shape():
     assert pres.element("A*a + b + c + d - (1/2)*t*e4") in pres.relations
 
 
+def test_the_nice_basis_is_one_ring_map_on_the_pipeline_data():
+    ring, mapping = universal_flopping_algebra(2).pipeline().nice_basis
+    assert ring.names == ("t", "u", "v", "w", "z", "y")
+    assert mapping["T0b"] == parse_poly("-u", ring)
+    assert universal_flopping_algebra(3).pipeline().nice_basis is None
+    laufer = builtins()["laufer"]
+    assert laufer.pipeline().nice_basis is None
+    assert repr(laufer) == "Builtin(laufer)"
+
+
 def test_length1_is_deformed_preprojective_A1():
     # the universal length-1 algebra is the deformed preprojective algebra
     # of A1 under t = t_0 = -t_1 (quivers list the arrows in different

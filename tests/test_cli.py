@@ -144,6 +144,21 @@ def test_every_length_is_bounded_by_the_budget():
     assert code == EXIT_USAGE
 
 
+def test_the_hypersurface_and_its_factorisation_share_one_budget():
+    # the length-2 hypersurface takes 3867 steps and its factorisation 508
+    code, _ = invoke(["mf", "--length", "2", "--budget", "4374"])
+    assert code == EXIT_BUDGET
+    code, _ = invoke(["mf", "--length", "2", "--budget", "4375"])
+    assert code == EXIT_OK
+
+
+def test_missing_nice_basis_names_the_presentation(capsys):
+    for command in ("hypersurface", "mf"):
+        code, _ = invoke([command, "--builtin", "laufer", "--nice-basis"])
+        assert code == EXIT_DOMAIN
+        assert capsys.readouterr().err == "error: no recorded nice basis for laufer\n"
+
+
 def test_mf_squares_c_once(monkeypatch):
     # the pipeline checks C^2 = g I; printing the identity does not redo it
     squares = []
@@ -222,7 +237,16 @@ def test_malformed_rep_files_are_usage_errors_naming_the_line(tmp_path, capsys):
     for text, message in (("ring: t\ndims: 0=x\n", "dimension of vertex '0' must be an integer"),
                           ("ring: t\ndims: 0=1, 1\n", "dims entry '1' is not vertex=dimension"),
                           ("ring: t\ndims: 0=1\nmap: t\n", "map line is not"),
-                          ("matrix a [1]\n", "matrix line is not")):
+                          ("matrix a [1]\n", "matrix line is not"),
+                          ("ring: t, t\n", "parameter names must be distinct"),
+                          ("ring: 2x\n", "bad parameter name '2x'"),
+                          ("ring: t\nmap: q = 1\n", "'q' is not a parameter of the presentation"),
+                          ("ring: t\nmatrix zz: [1]\n", "'zz' is not an arrow of the quiver"),
+                          ("ring: t\ndims: 9=1\n", "'9' is not a vertex of the quiver"),
+                          ("ring: t\ndims: 0=1, 4=-1\n", "dimension of vertex '4' is negative"),
+                          ("ring: t\ndims: 0=1, 4=1\nmatrix A: [1]\nmatrix b: [0]\n"
+                           "matrix c: [0]\nmatrix d: [0]\nmatrix a: [1, 0]\n",
+                           "matrix for 'a' has shape (1, 2), expected (1, 1)")):
         rep = tmp_path / "bad.rep"
         rep.write_text(text)
         code, _ = invoke(["verify-rep", "--builtin", "laufer", "--rep", str(rep)])
@@ -244,12 +268,32 @@ def test_malformed_rep_files_are_usage_errors_naming_the_line(tmp_path, capsys):
      "ring: t\ndims: 0=1, 4=1\nmatrix a: [t, 1 +]\n", "(line 3, column 18)"),
     (["specialize", "--builtin", "length-2", "--map"], "ring:\n  t = 1 +\n",
      "end of input at position 3 (line 2, column 10)"),
+    (["verify-rep", "--builtin", "laufer", "--rep"], "ring: t\ndims: 0=1, 4=1\n",
+     "no matrix for arrow 'a'"),
+    (["specialize", "--builtin", "length-2", "--map"], "ring: t, t\n",
+     "parameter names must be distinct: ('t', 't') (line 1)"),
+    (["specialize", "--builtin", "length-2", "--map"], "ring: t\n\nring: 2x\n",
+     "bad parameter name '2x' (line 3)"),
+    (["specialize", "--builtin", "length-2", "--map"], "ring: t\nzz = 1\n",
+     "'zz' is not a parameter of the presentation (line 2)"),
     (["contraction", "--vertex", "0", "--in"],
      "params: t\nvertices: 0\narrows: a: 0 -> 0\nrelations: a*a - t*$\n",
      "unexpected character '$' at position 8 (line 4, column 20)"),
+    (["gb", "--degree", "4", "--in"], "params:\nvertices: 0\narrows: a: 0 -> 0 (deg 0)\n",
+     "arrow 'a' must have positive degree (line 3)"),
+    (["gb", "--degree", "4", "--in"], "params:\nvertices: 0, 0\narrows: a: 0 -> 0\n",
+     "vertex '0' is declared twice (line 2)"),
+    (["gb", "--degree", "4", "--in"], "params: t, t\nvertices: 0\narrows: a: 0 -> 0\n",
+     "parameter names must be distinct: ('t', 't') (line 1)"),
+    (["gb", "--degree", "4", "--in"],
+     "params:\nvertices: 0\narrows: a: 0 -> 0, b: 0 -> 0\nprecedence: a, c\n",
+     "precedence must list every arrow exactly once (line 4)"),
 ], ids=["catalog-show-no-name", "verify-rep-no-source", "rep-dims-omit-vertex",
         "rep-ragged-matrix", "rep-bad-map-value", "rep-bad-matrix-entry", "map-bad-value",
-        "presentation-bad-relation"])
+        "rep-omit-matrix", "map-ring-repeats", "map-ring-bad-name",
+        "map-unknown-param", "presentation-bad-relation", "presentation-arrow-deg-0",
+        "presentation-vertex-repeats", "presentation-param-repeats",
+        "presentation-bad-precedence"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message):
     if text is not None:
         path = tmp_path / "input.txt"

@@ -5,6 +5,7 @@ import pytest
 
 from flopcalc.catalog import (
     DIAGRAMS,
+    FlopCatalogEntry,
     LENGTH2_CHARTS,
     LENGTH2_RLINEAR,
     builtins,
@@ -106,6 +107,44 @@ def test_unknown_basis_is_a_pipeline_error():
             compute(entry, basis="bogus")
 
 
+def test_nice_mf_without_a_hypersurface_equals_the_one_with_it(l2_nice_hyp):
+    entry = universal_flopping_algebra(2)
+    alone = matrix_factorization(entry, basis="nice")
+    given = matrix_factorization(entry, basis="nice", hyp=l2_nice_hyp)
+    assert alone.C == given.C
+    assert alone.g == given.g
+    assert alone.generators == given.generators
+
+
+def test_a_basis_that_disagrees_with_the_given_hypersurface_is_an_error(l1_hyp, l2_nice_hyp):
+    entry = universal_flopping_algebra(2)
+    for hyp, basis in ((l2_nice_hyp, "raw"), (l1_hyp, "nice"), (l1_hyp, "bogus"),
+                       (l2_nice_hyp, "bogus")):
+        with pytest.raises(PipelineError, match="disagrees with the given hypersurface"):
+            matrix_factorization(entry, basis=basis, hyp=hyp)
+
+
+def test_a_hypersurface_and_its_factorisation_parse_the_pipeline_once(monkeypatch):
+    calls = []
+    pipeline = FlopCatalogEntry.pipeline
+
+    def counting(self):
+        calls.append(self)
+        return pipeline(self)
+
+    monkeypatch.setattr(FlopCatalogEntry, "pipeline", counting)
+    entry = universal_flopping_algebra(1)
+    matrix_factorization(entry, hyp=hypersurface(entry))
+    assert len(calls) == 1
+    matrix_factorization(entry)
+    assert len(calls) == 2
+
+
+def test_a_source_without_pipeline_data_is_named():
+    with pytest.raises(PipelineError, match="laufer"):
+        hypersurface(builtins()["laufer"].presentation())
+
+
 def test_missing_nice_basis_is_reported_before_any_completion(monkeypatch):
     # length 4 records no nice basis: that is known from the catalog entry,
     # so no basis is completed first
@@ -114,7 +153,7 @@ def test_missing_nice_basis_is_reported_before_any_completion(monkeypatch):
                         lambda *args, **kw: completions.append(args))
     entry = universal_flopping_algebra(4)
     for compute in (hypersurface, matrix_factorization):
-        with pytest.raises(PipelineError, match="no recorded nice basis"):
+        with pytest.raises(PipelineError, match="no recorded nice basis for length-4"):
             compute(entry, basis="nice")
     assert completions == []
 
