@@ -822,18 +822,20 @@ def _l5_intermediate_text() -> str:
 
 
 class Builtin:
-    """A named specialized presentation with optional extras for tests."""
+    """A named specialized presentation with optional extras.
 
-    def __init__(self, name, text, superpotential=None, expected=None,
-                 x=None, aux=None, generators=None, eliminated=None):
+    `family` is the length (2 or 3) of the universal flopping algebra that
+    the presentation specializes, when the pipeline runs on it: x', the
+    auxiliary generators and the module generators are that family's.
+    `eliminated` names the parameter-eliminated twin to use for
+    contractions.
+    """
+
+    def __init__(self, name, text, superpotential=None, family=None, eliminated=None):
         self.name = name
         self.text = text
         self.superpotential = superpotential
-        self.expected = expected or {}
-        self.x_text = x
-        self.aux_texts = aux
-        self.generators = generators
-        # name of the parameter-eliminated twin to use for contractions
+        self.family = family
         self.eliminated = eliminated
 
     def presentation(self) -> AlgebraPresentation:
@@ -844,9 +846,11 @@ class Builtin:
         return parse_element(self.superpotential, pres.quiver, pres.params)
 
     def pipeline(self) -> PipelineData:
-        if self.x_text is None:
+        """Pipeline data over this presentation, truncated at its own gb_degree."""
+        if self.family is None:
             raise CatalogError("builtin %r has no pipeline data" % self.name)
-        return PipelineData(self.presentation(), self.x_text, self.aux_texts, self.generators)
+        spec = _ENTRY_SPECS[self.family]
+        return PipelineData(self.presentation(), spec["x"], spec["aux"], spec["generators"])
 
     def __repr__(self):
         return "Builtin(%s)" % self.name
@@ -855,30 +859,12 @@ class Builtin:
 def builtins() -> Dict[str, Builtin]:
     out = {
         # Laufer flop: length-2 specialization with w=-t, u=y, v=0
-        "laufer": Builtin(
-            "laufer", _LAUFER_TEXT,
-            expected={"specializes": 2, "map": {"u": "y", "v": "0", "w": "-t"}},
-            x="a*b*c*A", aux=(("z", "a*b*A"), ("y", "a*c*A")),
-            generators=["a", "a*b", "a*c", "a*b*c"],
-            eliminated="laufer-nccr",
-        ),
-        "laufer-nccr": Builtin(
-            "laufer-nccr", _LAUFER_NCCR_TEXT, _LAUFER_SUPERPOTENTIAL,
-            expected={"dim": 9, "dim_ab": 5, "length": 2, "gv": [(5, 1, 0, 0, 0, 0)]},
-        ),
-        "length-3-nccr": Builtin(
-            "length-3-nccr", _L3_NCCR_TEXT, _L3_SUPERPOTENTIAL,
-            expected={"dim": 27, "dim_ab": 6, "length": 3, "gv": [(6, 3, 1, 0, 0, 0)]},
-        ),
+        "laufer": Builtin("laufer", _LAUFER_TEXT, family=2, eliminated="laufer-nccr"),
+        "laufer-nccr": Builtin("laufer-nccr", _LAUFER_NCCR_TEXT, _LAUFER_SUPERPOTENTIAL),
+        "length-3-nccr": Builtin("length-3-nccr", _L3_NCCR_TEXT, _L3_SUPERPOTENTIAL),
         # explicit length-3 flop with recorded hypersurface and 6x6 factorization
-        "length-3-example": Builtin(
-            "length-3-example", _L3_EXAMPLE_TEXT,
-            x="a*c^2*b*c*A", aux=(("z", "a*c*A"), ("y", "a*c^2*A")),
-            generators=["a", "a*c", "a*c^2", "a*c*b", "a*c^2*b", "a*c^2*b*c"],
-        ),
-        "length-5-nccr": Builtin(
-            "length-5-nccr", _L5_NCCR_TEXT, _L5_SUPERPOTENTIAL,
-        ),
+        "length-3-example": Builtin("length-3-example", _L3_EXAMPLE_TEXT, family=3),
+        "length-5-nccr": Builtin("length-5-nccr", _L5_NCCR_TEXT, _L5_SUPERPOTENTIAL),
         # 3-vertex idempotent slice used to derive the length-5 presentation
         "length-5-intermediate": Builtin(
             "length-5-intermediate", _l5_intermediate_text(),

@@ -26,11 +26,9 @@ from .catalog import (
     verify_invariants,
 )
 from .coeff import CoeffError, DivisionByZeroError, ParamRing, format_poly, parse_poly
-from .contraction import ContractionError, contraction_report, gv_invariants
+from .contraction import contraction_report, gv_invariants
 from .flops import (
-    PipelineError,
     Representation,
-    TruncationInsufficientError,
     hypersurface,
     matrix_factorization,
     specialize,
@@ -83,27 +81,50 @@ class _Out:
 
 
 def _load_presentation(args):
-    if getattr(args, "builtin", None):
+    if args.builtin:
         return catalog_presentation(args.builtin)
-    if getattr(args, "infile", None):
+    if args.infile:
         with open(args.infile, "r", encoding="utf-8") as fh:
             return parse_presentation(fh.read())
     raise ParseError("one of --in or --builtin is required")
 
 
-def _budget(args) -> Budget:
-    return Budget(getattr(args, "budget", None))
+def _degree(args, pres) -> int:
+    """--degree, or else the truncation degree the presentation records."""
+    degree = pres.gb_degree if args.degree is None else args.degree
+    if degree is None:
+        raise ParseError("--degree is required (presentation records no default)")
+    return degree
 
 
 def _pipeline_source(args):
-    if getattr(args, "length", None):
+    if args.length is not None:
         return universal_flopping_algebra(args.length)
-    if getattr(args, "builtin", None):
+    if args.builtin:
         b = builtins().get(args.builtin)
-        if b is None or b.x_text is None:
+        if b is None:
             raise CatalogError("builtin %r has no pipeline data" % args.builtin)
         return b
     raise ParseError("one of --length or --builtin is required")
+
+
+def _write_presentation(pres, path, out: _Out):
+    """The presentation's text to the file `path`, or to stdout without one."""
+    text = format_presentation(pres)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out.both("written", path)
+    else:
+        sys.stdout.write(text)
+
+
+def _report_checks(kind: str, report, out: _Out):
+    out.record(kind)
+    out.both("pass", "true" if report.ok else "false")
+    for name, ok, detail in report.checks:
+        out.both("check", "%s: %s%s" % (name, "ok" if ok else "FAIL",
+                                        (" (%s)" % detail) if detail and not ok else ""))
 
 
 # -- subcommand implementations ----------------------------------------------
@@ -119,22 +140,12 @@ def cmd_catalog(args, out: _Out):
         return
     if args.name is None:
         raise ParseError("catalog show needs a name (see catalog list)")
-    pres = catalog_presentation(args.name)
-    text = format_presentation(pres)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        out.both("written", args.out)
-    else:
-        sys.stdout.write(text)
+    _write_presentation(catalog_presentation(args.name), args.out, out)
 
 
 def cmd_gb(args, out: _Out):
     pres = _load_presentation(args)
-    degree = args.degree or pres.gb_degree
-    if degree is None:
-        raise ParseError("--degree is required (presentation records no default)")
-    gb = truncated_groebner(pres, max_degree=degree, budget=_budget(args))
+    gb = truncated_groebner(pres, max_degree=_degree(args, pres), budget=Budget(args.budget))
     out.record("groebner")
     out.both("rules", len(gb.rules))
     out.both("complete", "true" if gb.complete else "false")
@@ -147,11 +158,8 @@ def cmd_gb(args, out: _Out):
 
 def cmd_nf(args, out: _Out):
     pres = _load_presentation(args)
-    degree = args.degree or pres.gb_degree
-    if degree is None:
-        raise ParseError("--degree is required (presentation records no default)")
-    budget = _budget(args)
-    gb = truncated_groebner(pres, max_degree=degree, budget=budget)
+    budget = Budget(args.budget)
+    gb = truncated_groebner(pres, max_degree=_degree(args, pres), budget=budget)
     elem = parse_element(args.element, pres.quiver, pres.params)
     nf = normal_form(elem, gb, budget)
     out.record("normal-form")
@@ -162,7 +170,7 @@ def cmd_nf(args, out: _Out):
 def cmd_hypersurface(args, out: _Out):
     source = _pipeline_source(args)
     basis = "nice" if args.nice_basis else "raw"
-    hyp = hypersurface(source, gb_degree=args.degree, basis=basis, budget=_budget(args))
+    hyp = hypersurface(source, gb_degree=args.degree, basis=basis, budget=Budget(args.budget))
     out.record("hypersurface")
     out.both("basis", basis)
     out.both("variables", ", ".join(hyp.ring.names))
@@ -174,7 +182,8 @@ def cmd_hypersurface(args, out: _Out):
 def cmd_mf(args, out: _Out):
     source = _pipeline_source(args)
     basis = "nice" if args.nice_basis else "raw"
-    mf = matrix_factorization(source, gb_degree=args.degree, basis=basis, budget=_budget(args))
+    mf = matrix_factorization(source, gb_degree=args.degree, basis=basis,
+                              budget=Budget(args.budget))
     out.record("matrix-factorization")
     out.both("size", mf.size)
     # matrix_factorization raises unless C^2 = g I holds exactly
@@ -234,37 +243,41 @@ def _parameter(name: str, pres, lineno: int) -> str:
     return name
 
 
+def _check_unmapped(pres, mapped, ring: ParamRing, ring_line: Optional[int]):
+    """Every parameter of the presentation that a file leaves unmapped must
+    be a name of the file's ring (declared on line `ring_line`)."""
+    for name in pres.params.names:
+        if name not in mapped and name not in ring.names:
+            raise ParseError("%r is neither mapped nor in the ring: line" % name,
+                             line=ring_line)
+
+
 def _parse_map_file(path: str, pres):
-    """(ring or None, [(parameter, value text, line number, offset)])."""
-    ring = None
+    """(ring, {parameter: polynomial over ring}); without a `ring:` line the
+    ring is that of the unmapped parameters."""
+    ring = ring_line = None
     entries = []
     for lineno, line, offset in _content_lines(path):
         if line.startswith("ring:"):
-            ring = _parse_ring(line, lineno)
+            ring, ring_line = _parse_ring(line, lineno), lineno
             continue
         if "=" not in line:
             raise ParseError("bad map line %r" % line, line=lineno)
         name, value = line.split("=", 1)
         value, at = _stripped(value, offset + len(name) + 1)
         entries.append((_parameter(name.strip(), pres, lineno), value, lineno, at))
-    return ring, entries
-
-
-def cmd_specialize(args, out: _Out):
-    pres = _load_presentation(args)
-    ring, entries = _parse_map_file(args.map, pres)
     if ring is None:
         mapped = {k for k, _, _, _ in entries}
         ring = ParamRing([n for n in pres.params.names if n not in mapped])
     mapping = {k: _parse_value(v, ring, lineno, at) for k, v, lineno, at in entries}
-    result = specialize(pres, mapping, ring)
-    text = format_presentation(result)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        out.both("written", args.out)
-    else:
-        sys.stdout.write(text)
+    _check_unmapped(pres, mapping, ring, ring_line)
+    return ring, mapping
+
+
+def cmd_specialize(args, out: _Out):
+    pres = _load_presentation(args)
+    ring, mapping = _parse_map_file(args.map, pres)
+    _write_presentation(specialize(pres, mapping, ring), args.out, out)
 
 
 def cmd_superpotential(args, out: _Out):
@@ -281,22 +294,18 @@ def cmd_superpotential(args, out: _Out):
             raise ParseError("--phi is required with --in")
         with open(args.phi, "r", encoding="utf-8") as fh:
             phi = parse_element(fh.read().strip(), pres.quiver, pres.params)
-    report = verify_superpotential(pres, phi, gb_degree=args.degree, budget=_budget(args))
-    out.record("superpotential")
-    out.both("pass", "true" if report.ok else "false")
-    for name, ok, detail in report.checks:
-        out.both("check", "%s: %s%s" % (name, "ok" if ok else "FAIL",
-                                        (" (%s)" % detail) if detail and not ok else ""))
+    report = verify_superpotential(pres, phi, gb_degree=args.degree, budget=Budget(args.budget))
+    _report_checks("superpotential", report, out)
 
 
 def _parse_rep_file(path: str, alg):
-    ring = ParamRing(())
+    ring, ring_line = ParamRing(()), None
     dims = {}
     param_texts = {}  # parameter -> (line number, value text, offset)
     matrix_texts = {}  # arrow -> (line number, rows of (entry text, offset))
     for lineno, line, offset in _content_lines(path):
         if line.startswith("ring:"):
-            ring = _parse_ring(line, lineno)
+            ring, ring_line = _parse_ring(line, lineno), lineno
         elif line.startswith("dims:"):
             for part in line[5:].split(","):
                 v, eq, n = part.partition("=")
@@ -338,6 +347,7 @@ def _parse_rep_file(path: str, alg):
                  for k, (lineno, text, at) in param_texts.items()}
     matrices = {k: [[_parse_value(text, ring, lineno, at) for text, at in row] for row in rows]
                 for k, (lineno, rows) in matrix_texts.items()}
+    _check_unmapped(alg, param_map, ring, ring_line)
     for a in alg.quiver.arrows:
         if a.name not in matrices:
             raise ParseError("no matrix for arrow %r" % a.name)
@@ -359,29 +369,19 @@ def cmd_verify_rep(args, out: _Out):
         rep = _parse_rep_file(args.rep, pres)
     else:
         raise ParseError("one of --rep or --chart is required")
-    report = verify_representation(pres, rep)
-    out.record("verify-rep")
-    out.both("pass", "true" if report.ok else "false")
-    for name, ok, detail in report.checks:
-        out.both("check", "%s: %s%s" % (name, "ok" if ok else "FAIL",
-                                        (" (%s)" % detail) if detail and not ok else ""))
+    _report_checks("verify-rep", verify_representation(pres, rep), out)
 
 
 def cmd_contraction(args, out: _Out):
-    used_builtin = getattr(args, "builtin", None)
-    if used_builtin:
-        b = builtins().get(used_builtin)
-        if b is not None and b.eliminated:
-            # the family parameters are units of the coefficient field; the
-            # contraction algebra lives in the parameter-eliminated twin
-            args.builtin = b.eliminated
-    pres = _load_presentation(args)
-    vertex = args.vertex if args.vertex is not None else "0"
-    report = contraction_report(pres, vertex, length=args.length, budget=_budget(args))
+    # the family parameters are units of the coefficient field; the
+    # contraction algebra lives in the parameter-eliminated twin
+    b = builtins().get(args.builtin)
+    twin = b.eliminated if b is not None else None
+    pres = catalog_presentation(twin) if twin else _load_presentation(args)
+    report = contraction_report(pres, args.vertex, length=args.length, budget=Budget(args.budget))
     out.record("contraction")
-    if used_builtin and used_builtin != args.builtin:
-        out.both("presentation", "%s (parameter-eliminated form of %s)"
-                 % (args.builtin, used_builtin))
+    if twin:
+        out.both("presentation", "%s (parameter-eliminated form of %s)" % (twin, args.builtin))
     out.both("dim", report.dim)
     out.both("dim_ab", report.dim_ab)
     out.both("gv", " ".join(str(t) for t in report.gv_solutions) or "none")
@@ -417,80 +417,80 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output format (records = line-delimited, schema: 1)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, pipeline=False, presentation=False,
-               degree_help="truncation degree override"):
+    def budget(sp):
         sp.add_argument("--budget", type=int, default=None,
                         help="reduction step budget (default env FLOPCALC_MAX_STEPS or 10^6)")
-        sp.add_argument("--degree", type=int, default=None, help=degree_help)
-        if pipeline:
-            sp.add_argument("--length", type=int, choices=range(1, 7), default=None)
-            sp.add_argument("--builtin", default=None)
-            sp.add_argument("--nice-basis", action="store_true",
-                            help="apply the recorded change of basis (length 2; default: raw)")
-        if presentation:
-            sp.add_argument("--in", dest="infile", default=None, help="presentation file")
-            sp.add_argument("--builtin", default=None, help="catalog name instead of a file")
 
-    sp = sub.add_parser("catalog", help="list or show built-in presentations")
+    def degree(sp, degree_help="truncation degree override"):
+        sp.add_argument("--degree", type=int, default=None, help=degree_help)
+
+    def potential_degree(sp):
+        degree(sp, "truncation degree override; it matters only for checks that inspection "
+                   "does not decide (an element that is zero or a constant multiple of a "
+                   "generator of the other side needs no basis)")
+
+    def pipeline(sp):
+        sp.add_argument("--length", type=int, choices=range(1, 7), default=None)
+        sp.add_argument("--builtin", default=None)
+        sp.add_argument("--nice-basis", action="store_true",
+                        help="apply the recorded change of basis (length 2; default: raw)")
+
+    def presentation(sp):
+        sp.add_argument("--in", dest="infile", default=None, help="presentation file")
+        sp.add_argument("--builtin", default=None, help="catalog name instead of a file")
+
+    def command(name, help_text, func, *inputs):
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(func=func)
+        for declare in inputs:
+            declare(sp)
+        return sp
+
+    sp = command("catalog", "list or show built-in presentations", cmd_catalog)
     sp.add_argument("action", choices=("list", "show"))
     sp.add_argument("name", nargs="?", default=None)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_catalog)
 
-    sp = sub.add_parser("gb", help="truncated Groebner basis of a presentation")
-    common(sp, presentation=True)
-    sp.set_defaults(func=cmd_gb)
+    command("gb", "truncated Groebner basis of a presentation", cmd_gb,
+            budget, degree, presentation)
 
-    sp = sub.add_parser("nf", help="normal form of an element")
-    common(sp, presentation=True)
+    sp = command("nf", "normal form of an element", cmd_nf, budget, degree, presentation)
     sp.add_argument("--element", required=True)
-    sp.set_defaults(func=cmd_nf)
 
-    sp = sub.add_parser("hypersurface", help="hypersurface equation of the center")
-    common(sp, pipeline=True)
-    sp.set_defaults(func=cmd_hypersurface)
+    command("hypersurface", "hypersurface equation of the center", cmd_hypersurface,
+            budget, degree, pipeline)
 
-    sp = sub.add_parser("mf", help="matrix factorization of the hypersurface")
-    common(sp, pipeline=True)
+    sp = command("mf", "matrix factorization of the hypersurface", cmd_mf,
+                 budget, degree, pipeline)
     sp.add_argument("--check-only", action="store_true")
-    sp.set_defaults(func=cmd_mf)
 
-    sp = sub.add_parser("specialize", help="push a presentation along a parameter map")
-    common(sp, presentation=True)
+    sp = command("specialize", "push a presentation along a parameter map", cmd_specialize,
+                 presentation)
     sp.add_argument("--map", required=True, help="map file: lines `name = polynomial`")
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_specialize)
 
-    sp = sub.add_parser("superpotential", help="verify a superpotential against relations")
-    common(sp, presentation=True,
-           degree_help="truncation degree override; it matters only for checks that "
-                       "inspection does not decide (an element that is zero or a constant "
-                       "multiple of a generator of the other side needs no basis)")
+    sp = command("superpotential", "verify a superpotential against relations",
+                 cmd_superpotential, budget, potential_degree, presentation)
     sp.add_argument("--phi", default=None, help="file with the potential element")
-    sp.set_defaults(func=cmd_superpotential)
 
-    sp = sub.add_parser("verify-rep", help="evaluate relations on a representation")
-    common(sp, presentation=True)
+    sp = command("verify-rep", "evaluate relations on a representation", cmd_verify_rep,
+                 presentation)
     sp.add_argument("--rep", default=None, help="representation file")
     sp.add_argument("--chart", choices=tuple(sorted(LENGTH2_CHARTS)), default=None,
                     help="built-in length-2 moduli chart")
-    sp.set_defaults(func=cmd_verify_rep)
 
-    sp = sub.add_parser("contraction", help="contraction algebra report")
-    common(sp, presentation=True)
-    sp.add_argument("--vertex", default=None)
+    sp = command("contraction", "contraction algebra report", cmd_contraction,
+                 budget, presentation)
+    sp.add_argument("--vertex", default="0")
     sp.add_argument("--length", type=int, choices=range(1, 7), default=None)
-    sp.set_defaults(func=cmd_contraction)
 
-    sp = sub.add_parser("gv", help="enumerate Gopakumar-Vafa tuples")
+    sp = command("gv", "enumerate Gopakumar-Vafa tuples", cmd_gv)
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--dim-ab", dest="dim_ab", type=int, required=True)
     sp.add_argument("--length", type=int, choices=range(1, 7), default=None)
-    sp.set_defaults(func=cmd_gv)
 
-    sp = sub.add_parser("invariants", help="Weyl-invariance report for a catalog length")
+    sp = command("invariants", "Weyl-invariance report for a catalog length", cmd_invariants)
     sp.add_argument("--length", type=int, choices=range(1, 7), required=True)
-    sp.set_defaults(func=cmd_invariants)
 
     return p
 
@@ -511,8 +511,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     except BudgetExceededError as exc:
         sys.stderr.write("budget exhausted: %s\n" % exc)
         return EXIT_BUDGET
-    except (CatalogError, CoeffError, ContractionError, DivisionByZeroError,
-            PathAlgebraError, PipelineError, TruncationInsufficientError) as exc:
+    except (CoeffError, DivisionByZeroError, PathAlgebraError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_DOMAIN
     out.emit()

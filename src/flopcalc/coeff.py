@@ -126,11 +126,9 @@ class ParamRing:
         exp[i] = 1
         return _reduced(self, {self._pack(exp): 1}, 1)
 
-    def extend(self, extra: Sequence[str], grading: Optional[Mapping[str, int]] = None) -> "ParamRing":
+    def extend(self, extra: Sequence[str]) -> "ParamRing":
         """Ring with additional parameters appended after the current ones."""
-        g = {n: d for n, d in zip(self.names, self.grading)}
-        g.update(grading or {})
-        return ParamRing(self.names + tuple(extra), g)
+        return ParamRing(self.names + tuple(extra), dict(zip(self.names, self.grading)))
 
 
 def _grlex_key(exp: Exponents):
@@ -530,12 +528,11 @@ class _PolyParser:
         base = self.atom()
         while self.peek().kind == "^":
             self.take()
-            neg = False
             if self.peek().kind == "-":
                 pos = self.peek().pos
                 raise CoeffError("negative exponent at position %d" % pos, pos)
             e = self.take("num").value
-            if e.denominator != 1 or neg:
+            if e.denominator != 1:
                 raise CoeffError("exponents must be nonnegative integers")
             base = base ** int(e)
         return base

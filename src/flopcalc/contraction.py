@@ -54,12 +54,11 @@ class ContractionError(PathAlgebraError):
 class ContractionReport:
     """dim, abelianized dim, and the admissible GV tuples (n1..n6)."""
 
-    def __init__(self, presentation, dim, dim_ab, gv_solutions, declared_length=None):
+    def __init__(self, presentation, dim, dim_ab, gv_solutions):
         self.presentation = presentation
         self.dim = dim
         self.dim_ab = dim_ab
         self.gv_solutions = gv_solutions
-        self.declared_length = declared_length
 
     def __repr__(self):
         return "ContractionReport(dim=%s, dim_ab=%s, gv=%s)" % (
@@ -206,7 +205,9 @@ def contraction_dims(alg: AlgebraPresentation, e0,
 
 
 def _dims_of(con: AlgebraPresentation, budget: Optional[Budget]) -> Tuple[object, object]:
-    """(dim, dim_ab) of a contraction presentation that is already built."""
+    """(dim, dim_ab) of a contraction presentation that is already built,
+    both counted against one budget."""
+    budget = budget or Budget()
     dims = []
     for name, pres in (("dim", con), ("dim_ab", abelianization(con))):
         try:
@@ -257,5 +258,5 @@ def contraction_report(alg: AlgebraPresentation, e0, length: Optional[int] = Non
     con = contraction_presentation(alg, e0)
     dim, dim_ab = _dims_of(con, budget)
     if dim == INFINITE or dim_ab == INFINITE:
-        return ContractionReport(con, dim, dim_ab, [], length)
-    return ContractionReport(con, dim, dim_ab, gv_invariants(dim, dim_ab, length), length)
+        return ContractionReport(con, dim, dim_ab, [])
+    return ContractionReport(con, dim, dim_ab, gv_invariants(dim, dim_ab, length))

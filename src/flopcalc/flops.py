@@ -470,7 +470,7 @@ def matrix_factorization(source, gb_degree: Optional[int] = None, basis: str = "
 # ---------------------------------------------------------------------------
 
 def specialize(alg: AlgebraPresentation, mapping: Mapping[str, Union[str, MultiPoly]],
-               ring: ParamRing, name: str = "") -> AlgebraPresentation:
+               ring: ParamRing) -> AlgebraPresentation:
     """Push the presentation along a parameter substitution into `ring`.
 
     `mapping` sends parameter names to polynomials over `ring` (texts are
@@ -485,7 +485,7 @@ def specialize(alg: AlgebraPresentation, mapping: Mapping[str, Union[str, MultiP
               for r in alg.relations)
     return AlgebraPresentation(
         alg.quiver, ring, [img for img in images if not img.is_zero()],
-        name=name or (alg.name + "-specialized" if alg.name else "specialized"),
+        name=alg.name + "-specialized" if alg.name else "specialized",
         precedence=alg.precedence, gb_degree=alg.gb_degree,
     )
 

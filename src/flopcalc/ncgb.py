@@ -114,8 +114,8 @@ class Budget:
         self.max_steps = max_steps
         self.steps = 0
 
-    def tick(self, n: int = 1):
-        self.steps += n
+    def tick(self):
+        self.steps += 1
         if self.steps > self.max_steps:
             raise BudgetExceededError(
                 "reduction step budget exceeded (%d steps; raise FLOPCALC_MAX_STEPS "

@@ -88,7 +88,8 @@ class Arrow:
 
 
 class Quiver:
-    """Ordered vertices plus named arrows with source/target and degree."""
+    """Ordered vertices plus named arrows with source/target and degree,
+    given as (name, source, target) or (name, source, target, degree)."""
 
     def __init__(self, vertices: Sequence[str], arrows: Sequence[Tuple], name: str = ""):
         self.vertices = tuple(str(v) for v in vertices)
@@ -99,12 +100,8 @@ class Quiver:
         built = []
         names = set()
         for i, spec in enumerate(arrows):
-            if isinstance(spec, Arrow):
-                a = Arrow(spec.name, spec.source, spec.target, spec.degree, i)
-            else:
-                nm, src, tgt = spec[0], str(spec[1]), str(spec[2])
-                deg = spec[3] if len(spec) > 3 else 1
-                a = Arrow(nm, src, tgt, deg, i)
+            deg = spec[3] if len(spec) > 3 else 1
+            a = Arrow(spec[0], str(spec[1]), str(spec[2]), deg, i)
             if a.name in names:
                 raise ArrowSpecError("duplicate arrow name %r" % a.name, i)
             if a.degree < 1:

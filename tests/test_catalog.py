@@ -166,8 +166,18 @@ def test_e8_colorings_both_stored():
     assert universal_flopping_algebra(6).diagram.name == "E8"
 
 
-def test_builtin_expectations_present():
+def test_builtin_pipelines_read_their_family():
+    # x', the auxiliary and the module generators are the family's, parsed
+    # over the builtin's own presentation at its own truncation degree
     b = builtins()
-    assert b["laufer-nccr"].expected["dim"] == 9
-    assert b["length-3-nccr"].expected["gv"] == [(6, 3, 1, 0, 0, 0)]
+    for name, family, degree in (("laufer", 2, 12), ("length-3-example", 3, 8)):
+        pipe = b[name].pipeline()
+        family_pipe = universal_flopping_algebra(family).pipeline()
+        assert pipe.presentation.name == name
+        assert pipe.presentation.gb_degree == degree
+        assert str(pipe.x_elem) == str(family_pipe.x_elem)
+        assert [n for n, _ in pipe.aux] == [n for n, _ in family_pipe.aux]
+        assert list(map(str, pipe.generators)) == list(map(str, family_pipe.generators))
+    with pytest.raises(CatalogError, match="builtin 'laufer-nccr' has no pipeline data"):
+        b["laufer-nccr"].pipeline()
     assert b["length-5-intermediate"].presentation().quiver.vertices == ("0", "4", "8")

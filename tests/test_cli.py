@@ -1,12 +1,16 @@
+import argparse
+import ast
+import inspect
 import io
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
 import flopcalc
-from flopcalc import flops
+from flopcalc import cli, flops
 from flopcalc.catalog import builtins
 from flopcalc.cli import EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, run
 from flopcalc.contraction import contraction_presentation
@@ -175,6 +179,15 @@ def test_mf_squares_c_once(monkeypatch):
     assert len(squares) == 1
 
 
+def test_degree_zero_is_a_degree_not_the_default(capsys):
+    for argv in (["gb", "--builtin", "length-2"],
+                 ["nf", "--builtin", "length-2", "--element", "a*A"]):
+        code, _ = invoke(argv + ["--degree", "0"])
+        assert code == EXIT_DOMAIN
+        assert ("max_degree 0 is below the maximum relation degree 2"
+                in capsys.readouterr().err)
+
+
 def test_raw_is_the_default_not_a_flag():
     code, _ = invoke(["hypersurface", "--length", "1", "--raw"])
     assert code == EXIT_USAGE
@@ -288,12 +301,30 @@ def test_malformed_rep_files_are_usage_errors_naming_the_line(tmp_path, capsys):
     (["gb", "--degree", "4", "--in"],
      "params:\nvertices: 0\narrows: a: 0 -> 0, b: 0 -> 0\nprecedence: a, c\n",
      "precedence must list every arrow exactly once (line 4)"),
+    (["specialize", "--builtin", "length-2", "--map"], "ring: s\nt = s\n",
+     "'T0b' is neither mapped nor in the ring: line (line 1)"),
+    (["verify-rep", "--builtin", "laufer", "--rep"],
+     "ring: s\ndims: 0=1, 4=1\nmatrix a: [1]\nmatrix A: [1]\nmatrix b: [0]\n"
+     "matrix c: [0]\nmatrix d: [0]\n",
+     "'t' is neither mapped nor in the ring: line (line 1)"),
+    (["specialize", "--builtin", "length-2", "--budget", "5", "--map"], "t = 0\n",
+     "unrecognized arguments: --budget 5"),
+    (["specialize", "--builtin", "length-2", "--degree", "5", "--map"], "t = 0\n",
+     "unrecognized arguments: --degree 5"),
+    (["verify-rep", "--builtin", "length-2", "--chart", "U0", "--budget", "5"], None,
+     "unrecognized arguments: --budget 5"),
+    (["verify-rep", "--builtin", "length-2", "--chart", "U0", "--degree", "5"], None,
+     "unrecognized arguments: --degree 5"),
+    (["contraction", "--builtin", "laufer", "--length", "2", "--degree", "3"], None,
+     "unrecognized arguments: --degree 3"),
 ], ids=["catalog-show-no-name", "verify-rep-no-source", "rep-dims-omit-vertex",
         "rep-ragged-matrix", "rep-bad-map-value", "rep-bad-matrix-entry", "map-bad-value",
         "rep-omit-matrix", "map-ring-repeats", "map-ring-bad-name",
         "map-unknown-param", "presentation-bad-relation", "presentation-arrow-deg-0",
         "presentation-vertex-repeats", "presentation-param-repeats",
-        "presentation-bad-precedence"])
+        "presentation-bad-precedence", "map-ring-lacks-unmapped", "rep-ring-lacks-unmapped",
+        "specialize-budget", "specialize-degree", "verify-rep-budget", "verify-rep-degree",
+        "contraction-degree"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message):
     if text is not None:
         path = tmp_path / "input.txt"
@@ -344,3 +375,46 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == EXIT_OK, done.stderr
     assert "(5, 1, 0, 0, 0, 0)" in done.stdout
+
+
+def _args_reads(func, param, seen):
+    """The `args` attributes that `func` reads through its parameter `param`,
+    following `param` into the module-level `cli` functions it is passed to."""
+    if func in seen:
+        return set()
+    seen.add(func)
+    reads = set()
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == param):
+            reads.add(node.attr)
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
+            continue
+        if (node.func.id == "getattr" and len(node.args) >= 2
+                and isinstance(node.args[0], ast.Name) and node.args[0].id == param
+                and isinstance(node.args[1], ast.Constant)):
+            reads.add(node.args[1].value)
+        callee = getattr(cli, node.func.id, None)
+        if not inspect.isfunction(callee) or callee.__module__ != cli.__name__:
+            continue
+        names = list(inspect.signature(callee).parameters)
+        passed = [names[i] for i, a in enumerate(node.args)
+                  if isinstance(a, ast.Name) and a.id == param and i < len(names)]
+        passed += [k.arg for k in node.keywords
+                   if isinstance(k.value, ast.Name) and k.value.id == param]
+        for name in passed:
+            reads |= _args_reads(callee, name, seen)
+    return reads
+
+
+def test_every_declared_flag_is_read():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for command, sp in sorted(sub.choices.items()):
+        declared = {a.dest for a in sp._actions if a.dest != "help"}
+        func = sp.get_default("func")
+        reads = _args_reads(func, list(inspect.signature(func).parameters)[0], set())
+        unread += ["%s --%s" % (command, dest) for dest in sorted(declared - reads)]
+    assert unread == []

@@ -130,6 +130,24 @@ def test_contraction_report_builds_the_presentation_once(monkeypatch):
     assert (rep.dim, rep.dim_ab, rep.gv_solutions) == (9, 5, [(5, 1, 0, 0, 0, 0)])
 
 
+def test_a_report_without_a_budget_counts_both_dimensions_against_one(monkeypatch):
+    laufer = builtins()["laufer-nccr"].presentation()
+    con = contraction_presentation(laufer, "0")
+    steps = 0
+    for pres in (con, abelianization(con)):
+        measured = Budget()
+        completed_dimension(pres, budget=measured)
+        steps += measured.steps
+    monkeypatch.setenv("FLOPCALC_MAX_STEPS", str(steps))
+    assert (contraction_report(laufer, "0", length=2).dim, contraction_dims(laufer, "0")) \
+        == (9, (9, 5))
+    monkeypatch.setenv("FLOPCALC_MAX_STEPS", str(steps - 1))
+    for call in (lambda: contraction_report(laufer, "0", length=2),
+                 lambda: contraction_dims(laufer, "0")):
+        with pytest.raises(BudgetExceededError, match="did not finish \\(dim_ab\\)"):
+            call()
+
+
 def test_completed_vs_graded_dimension():
     # the length-3 flop contraction has three extra one-dimensional
     # simples away from the origin: affine word count 30, complete local 27

@@ -7,7 +7,8 @@ equation, matrix, basis and check report exactly as it was.  The one
 exception is mf-length-3, first recorded with the leading-word echelon
 span solve, since the Bareiss solve before it did not finish: the run that
 wrote it passed the pipeline's own exact checks (C^2 = g I and the
-centring of x), and sympy confirmed C^2 = g I from the file.
+centring of x), and sympy confirmed C^2 = g I from the file.  `catalog show` and `specialize`
+print the presentation text itself, followed by the records header.
 """
 
 from pathlib import Path
@@ -30,6 +31,15 @@ COMMANDS = {
     "contraction-laufer-nccr-2": ["contraction", "--builtin", "laufer-nccr", "--length", "2"],
     "contraction-length-3-nccr-3": ["contraction", "--builtin", "length-3-nccr",
                                     "--vertex", "0", "--length", "3"],
+    "contraction-laufer-2": ["contraction", "--builtin", "laufer", "--length", "2"],
+    "verify-rep-length-2-U0": ["verify-rep", "--builtin", "length-2", "--chart", "U0"],
+    "verify-rep-length-2-U1": ["verify-rep", "--builtin", "length-2", "--chart", "U1"],
+    "invariants-length-3": ["invariants", "--length", "3"],
+    "nf-length-2-aA-6": ["nf", "--builtin", "length-2", "--element", "a*A", "--degree", "6"],
+    "gv-27-6-3": ["gv", "--dim", "27", "--dim-ab", "6", "--length", "3"],
+    "catalog-show-length-2": ["catalog", "show", "length-2"],
+    "specialize-length-3-example": ["specialize", "--builtin", "length-3",
+                                    "--map", str(GOLDEN / "length-3-example.map")],
 }
 COMMANDS.update({"superpotential-%s" % name: ["superpotential", "--builtin", name]
                  for name in ("laufer-nccr", "length-3-nccr", "length-4-nccr",
