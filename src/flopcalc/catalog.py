@@ -243,7 +243,7 @@ class FlopCatalogEntry:
     def __init__(self, length: int, coloring: Coloring, presentation_text: str,
                  central_fibre_text: str, central_fibre_map: Dict[str, str],
                  x: str, aux: Sequence[Tuple[str, str]], generators: List[str],
-                 invariants: InvariantData, pipeline_gb_degree: int,
+                 invariants: InvariantData,
                  nice: Optional[Tuple[Tuple[str, ...], Dict[str, str]]] = None):
         self.length = length
         self.coloring = coloring
@@ -255,7 +255,6 @@ class FlopCatalogEntry:
         self.aux_texts = aux
         self.generator_texts = list(generators)
         self.invariants = invariants
-        self.pipeline_gb_degree = pipeline_gb_degree
         # (nice parameter names, raw parameter -> polynomial text in them)
         self.nice = nice
 
@@ -277,12 +276,12 @@ class FlopCatalogEntry:
     def pipeline(self) -> "PipelineData":
         """The pure presentation plus the commuting generator elements.
 
-        The presentation is always the raw one, truncated at the pipeline
-        degree.  A recorded nice basis (length 2) becomes the ring map
-        `PipelineData.nice_basis`, which the pipeline applies to its outputs.
+        The presentation is always the raw one, truncated at its entry in
+        `_PIPELINE_DEGREES`.  A recorded nice basis (length 2) becomes the
+        ring map `PipelineData.nice_basis`, applied to the pipeline outputs.
         """
         pres = self.presentation()
-        pres.gb_degree = self.pipeline_gb_degree
+        pres.gb_degree = _PIPELINE_DEGREES[self.name]
         nice_basis = None
         if self.nice is not None:
             names, texts = self.nice
@@ -300,11 +299,13 @@ class PipelineData:
     Parses, over `presentation`, the element x', the commuting central
     generators `aux` (name, text) and the module generators.  The Groebner
     basis is truncated at `presentation.gb_degree` unless a caller gives a
-    degree.  Words are weighted by the loop grading (loop arrows weigh 2,
-    the rest 1), which bounds the auxiliary monomials a normal form can
-    involve.  `nice_basis` is the recorded change of basis, a pair (ring,
-    {raw parameter: polynomial over ring}) with the auxiliary names last in
-    ring, or None.
+    degree; catalog pipelines take it from `_PIPELINE_DEGREES`.  Rewriting
+    is sound at any truncation and the module is free, so the coefficients
+    are unique and a successful expansion is exact.  Words are weighted by
+    the loop grading (loop arrows weigh 2, the rest 1), which bounds the
+    auxiliary monomials a normal form can involve.  `nice_basis` is the
+    recorded change of basis, a pair (ring, {raw parameter: polynomial over
+    ring}) with the auxiliary names last in ring, or None.
     """
 
     def __init__(self, presentation, x_text, aux_texts, generator_texts, nice_basis=None):
@@ -566,6 +567,15 @@ _INV = {
     ),
 }
 
+# Truncation degree of each pipeline: the least at which both the
+# hypersurface and the matrix factorization succeed, as a successful
+# expansion is exact at any degree (lengths 3-6 were measured to fail lower).
+_PIPELINE_DEGREES = {
+    "length-1": 3, "length-2": 3, "length-3": 8, "length-4": 12,
+    "length-5": 14,  # at 12, NF(x'^2) is not in the span of the central monomial columns
+    "length-6": 16, "laufer": 5, "length-3-example": 7,
+}
+
 _ENTRY_SPECS = {
     1: dict(
         diagram="A1", black=1, text=_L1_TEXT, cf=_CF1_TEXT,
@@ -573,14 +583,12 @@ _ENTRY_SPECS = {
         x="(1/2)*a0*a1 - (1/2)*A1*A0",
         aux=(("z", "a0*A0"), ("w", "(1/2)*a0*a1 + (1/2)*A1*A0")),
         generators=["a0", "A1"],
-        gb_degree=6,
     ),
     2: dict(
         diagram="D4", black=4, text=_L2_TEXT, cf=_CF2_TEXT,
         cf_map={"d": "-(A*a + b + c)"},
         x="a*b*c*A", aux=(("z", "a*b*A"), ("y", "a*c*A")),
         generators=["a", "a*b", "a*c", "a*b*c"],
-        gb_degree=12,
         nice=_L2_NICE,
     ),
     3: dict(
@@ -588,7 +596,6 @@ _ENTRY_SPECS = {
         cf_map={"d": "-(b + c)"},
         x="a*c^2*b*c*A", aux=(("z", "a*c*A"), ("y", "a*c^2*A")),
         generators=["a", "a*c", "a*c^2", "a*c*b", "a*c^2*b", "a*c^2*b*c"],
-        gb_degree=8,
     ),
     4: dict(
         diagram="E7", black=7, text=_L4_TEXT, cf=_CF4_TEXT,
@@ -596,7 +603,6 @@ _ENTRY_SPECS = {
         x="a*c^3*b*c^2*A", aux=(("z", "a*c*A"), ("y", "a*c^3*A")),
         generators=["a", "a*c", "a*c^2", "a*c^3", "a*c^2*b", "a*c^3*b",
                     "a*c^3*b*c", "a*c^3*b*c^2"],
-        gb_degree=12,
     ),
     5: dict(
         diagram="E8", black=4, text=_L5_TEXT, cf=_CF5_TEXT,
@@ -604,8 +610,6 @@ _ENTRY_SPECS = {
         x="a*c^3*b*c^2*A", aux=(("z", "a*c*A"), ("y", "a*c^3*A")),
         generators=["a", "a*c", "a*c^2", "a*c*b", "a*c^3", "a*c^2*b",
                     "a*c^3*b", "a*c^3*b*c", "a*c^3*b^2", "a*c^3*b*c^2"],
-        # at 12, NF(x'^2) is not in the span of the central monomial columns
-        gb_degree=14,
     ),
     6: dict(
         diagram="E8", black=8, text=_L6_TEXT, cf=_CF6_TEXT,
@@ -615,7 +619,6 @@ _ENTRY_SPECS = {
                     "a*c^2*b*c*b", "a*c^2*b*c^2*b", "a*c^2*b*c^2*b*c",
                     "a*c^2*b*c^2*b*c*b", "a*c^2*b*c^2*b*c*b*c",
                     "a*c^2*b*c^2*b*c*b*c^2"],
-        gb_degree=16,
     ),
 }
 
@@ -629,8 +632,7 @@ def universal_flopping_algebra(length: int) -> FlopCatalogEntry:
     coloring = Coloring(DIAGRAMS[spec["diagram"]], spec["black"], length)
     return FlopCatalogEntry(
         length, coloring, spec["text"], spec["cf"], spec["cf_map"], spec["x"], spec["aux"],
-        spec["generators"], _INV[length], spec["gb_degree"],
-        nice=spec.get("nice"),
+        spec["generators"], _INV[length], nice=spec.get("nice"),
     )
 
 
@@ -846,11 +848,15 @@ class Builtin:
         return parse_element(self.superpotential, pres.quiver, pres.params)
 
     def pipeline(self) -> PipelineData:
-        """Pipeline data over this presentation, truncated at its own gb_degree."""
+        """Pipeline data over this presentation, truncated at its entry in
+        `_PIPELINE_DEGREES` (exact there: a successful expansion is unique);
+        the text's own gb_degree stays the default of `gb` and `nf`."""
         if self.family is None:
             raise CatalogError("builtin %r has no pipeline data" % self.name)
         spec = _ENTRY_SPECS[self.family]
-        return PipelineData(self.presentation(), spec["x"], spec["aux"], spec["generators"])
+        pres = self.presentation()
+        pres.gb_degree = _PIPELINE_DEGREES[self.name]
+        return PipelineData(pres, spec["x"], spec["aux"], spec["generators"])
 
     def __repr__(self):
         return "Builtin(%s)" % self.name

@@ -71,10 +71,7 @@ class _Out:
             self.lines.append(line)
 
     def both(self, key: str, value):
-        if self.structured:
-            self.field(key, value)
-        else:
-            self.text("%s: %s" % (key, value))
+        self.lines.append("%s: %s" % (key, value))
 
     def emit(self):
         sys.stdout.write("\n".join(self.lines) + ("\n" if self.lines else ""))
@@ -103,20 +100,22 @@ def _pipeline_source(args):
     if args.builtin:
         b = builtins().get(args.builtin)
         if b is None:
+            catalog_presentation(args.builtin)  # raises CatalogError on an unknown name
             raise CatalogError("builtin %r has no pipeline data" % args.builtin)
         return b
     raise ParseError("one of --length or --builtin is required")
 
 
 def _write_presentation(pres, path, out: _Out):
-    """The presentation's text to the file `path`, or to stdout without one."""
+    """The presentation's text to the file `path`, or to the output without one
+    (after the records header in records mode)."""
     text = format_presentation(pres)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         out.both("written", path)
     else:
-        sys.stdout.write(text)
+        out.lines.extend(text.splitlines())
 
 
 def _report_checks(kind: str, report, out: _Out):

@@ -59,10 +59,6 @@ class TruncationInsufficientError(PipelineError):
     """The truncated basis cannot normalize the requested element into the
     expected shape; retry with the suggested degree."""
 
-    def __init__(self, message, needed_degree=None):
-        super().__init__(message)
-        self.needed_degree = needed_degree
-
 
 # ---------------------------------------------------------------------------
 # hypersurface recovery
@@ -273,8 +269,7 @@ def _expand(targets, module, aux: _AuxMonomials, gb: GroebnerBasis, budget: Budg
         if solution is None:
             degree = gb.truncation_degree
             raise TruncationInsufficientError(
-                missing % {"i": i, "degree": degree, "next": degree + 2},
-                needed_degree=degree + 2)
+                missing % {"i": i, "degree": degree, "next": degree + 2})
         polys = {key: ring.zero() for key, _, _ in module}
         for (key, m), coeff in solution.items():
             if not coeff.is_polynomial():
@@ -291,10 +286,10 @@ def hypersurface(source, gb_degree: Optional[int] = None, basis: str = "raw",
     Computes NF(x'^2) and expands it over the monomials in the auxiliary
     central generators paired with {e0, x'}; the expansion coefficients
     assemble P and Q with f = x^2 - g, g = Q + P^2/4 after centering.
-    basis='nice' then substitutes the recorded change of basis
-    (`PipelineData.nice_basis`) into P and Q, after the raw result has
-    passed its centering check.  Raises TruncationInsufficientError (with
-    a degree hint) when the expansion fails at this truncation.
+    basis='nice' then substitutes the recorded change of basis into P and
+    Q once the raw result passes its centering check.  Rewriting is sound at
+    any truncation and the module is free, so a successful expansion is the
+    exact one; a failed one raises TruncationInsufficientError with a hint.
     """
     if basis not in ("raw", "nice"):
         raise PipelineError("unknown basis %r" % (basis,))

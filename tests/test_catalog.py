@@ -2,6 +2,7 @@ import pytest
 
 from flopcalc.catalog import (
     DIAGRAMS,
+    _PIPELINE_DEGREES,
     CatalogError,
     apply_simple_reflection,
     builtins,
@@ -168,13 +169,15 @@ def test_e8_colorings_both_stored():
 
 def test_builtin_pipelines_read_their_family():
     # x', the auxiliary and the module generators are the family's, parsed
-    # over the builtin's own presentation at its own truncation degree
+    # over the builtin's own presentation at its pipeline truncation degree;
+    # the presentation text keeps its own default degree
     b = builtins()
-    for name, family, degree in (("laufer", 2, 12), ("length-3-example", 3, 8)):
+    for name, family, text_degree in (("laufer", 2, 12), ("length-3-example", 3, 8)):
         pipe = b[name].pipeline()
         family_pipe = universal_flopping_algebra(family).pipeline()
         assert pipe.presentation.name == name
-        assert pipe.presentation.gb_degree == degree
+        assert pipe.presentation.gb_degree == _PIPELINE_DEGREES[name]
+        assert b[name].presentation().gb_degree == text_degree
         assert str(pipe.x_elem) == str(family_pipe.x_elem)
         assert [n for n, _ in pipe.aux] == [n for n, _ in family_pipe.aux]
         assert list(map(str, pipe.generators)) == list(map(str, family_pipe.generators))

@@ -149,10 +149,10 @@ def test_every_length_is_bounded_by_the_budget():
 
 
 def test_the_hypersurface_and_its_factorisation_share_one_budget():
-    # the length-2 hypersurface takes 3867 steps and its factorisation 508
-    code, _ = invoke(["mf", "--length", "2", "--budget", "4374"])
+    # the length-2 hypersurface takes 353 steps and its factorisation 512
+    code, _ = invoke(["mf", "--length", "2", "--budget", "864"])
     assert code == EXIT_BUDGET
-    code, _ = invoke(["mf", "--length", "2", "--budget", "4375"])
+    code, _ = invoke(["mf", "--length", "2", "--budget", "865"])
     assert code == EXIT_OK
 
 
@@ -345,6 +345,17 @@ def test_superpotential_unknown_builtin_is_a_catalog_error(capsys):
     code, _ = invoke(["superpotential", "--builtin", "nope"])
     assert code == EXIT_DOMAIN
     assert "unknown catalog name 'nope' (try: " in capsys.readouterr().err
+
+
+def test_pipeline_unknown_builtin_is_a_catalog_error(capsys):
+    for command in ("hypersurface", "mf"):
+        code, _ = invoke([command, "--builtin", "nope"])
+        assert code == EXIT_DOMAIN
+        assert "unknown catalog name 'nope' (try: " in capsys.readouterr().err
+        # a known builtin outside the flop families has no pipeline
+        code, _ = invoke([command, "--builtin", "laufer-nccr"])
+        assert code == EXIT_DOMAIN
+        assert capsys.readouterr().err == "error: builtin 'laufer-nccr' has no pipeline data\n"
 
 
 def test_superpotential_file_without_phi_is_a_usage_error(tmp_path, capsys):

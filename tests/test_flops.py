@@ -5,6 +5,7 @@ import pytest
 
 from flopcalc.catalog import (
     DIAGRAMS,
+    _PIPELINE_DEGREES,
     FlopCatalogEntry,
     LENGTH2_CHARTS,
     LENGTH2_RLINEAR,
@@ -17,6 +18,7 @@ from flopcalc.coeff import MultiPoly, ParamRing, RatFunc, divexact, parse_poly
 from flopcalc.flops import (
     PipelineError,
     Representation,
+    TruncationInsufficientError,
     cyclic_derivative,
     hypersurface,
     matrix_factorization,
@@ -138,6 +140,24 @@ def test_a_hypersurface_and_its_factorisation_parse_the_pipeline_once(monkeypatc
     assert len(calls) == 1
     matrix_factorization(entry)
     assert len(calls) == 2
+
+
+def test_every_pipeline_has_a_truncation_degree():
+    names = {"length-%d" % l for l in range(1, 7)}
+    names |= {name for name, b in builtins().items() if b.family is not None}
+    assert set(_PIPELINE_DEGREES) == names
+
+
+@pytest.mark.parametrize("name", ["length-1", "length-2", "laufer", "length-3-example"])
+def test_the_pipeline_degree_is_the_least_that_succeeds(name):
+    # a successful expansion is exact at any truncation, so the table keeps
+    # the least degree at which both expansions succeed
+    source = builtins().get(name) or universal_flopping_algebra(int(name[7:]))
+    degree = _PIPELINE_DEGREES[name]
+    mf = matrix_factorization(source)
+    assert mf.hypersurface.gb.truncation_degree == degree and mf.check()
+    with pytest.raises(TruncationInsufficientError):
+        matrix_factorization(source, gb_degree=degree - 1)
 
 
 def test_a_source_without_pipeline_data_is_named():

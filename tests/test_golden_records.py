@@ -8,7 +8,9 @@ exception is mf-length-3, first recorded with the leading-word echelon
 span solve, since the Bareiss solve before it did not finish: the run that
 wrote it passed the pipeline's own exact checks (C^2 = g I and the
 centring of x), and sympy confirmed C^2 = g I from the file.  `catalog show` and `specialize`
-print the presentation text itself, followed by the records header.
+print the records header, followed by the presentation text itself.  The
+pipeline goldens stay byte-identical when a pipeline's truncation degree
+is lowered, as a successful expansion is unique.
 """
 
 from pathlib import Path
