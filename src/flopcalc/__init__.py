@@ -58,6 +58,7 @@ from .catalog import (
     LENGTH2_CHARTS,
     apply_simple_reflection,
     builtins,
+    catalog_entry,
     catalog_names,
     catalog_presentation,
     deformed_preprojective,

@@ -13,13 +13,17 @@ Contents:
 * specialized builtins: the Laufer flop, the explicit length-3 flop, and
   the length 4/5/6 quiver-with-superpotential examples.
 
-Everything is stored as presentation-file text and parsed on access, so
-the catalog doubles as a test corpus for the parser.
+One ordered table maps every public name to its entry (`catalog_entry`).
+The universal algebras, their central fibres and the builtins are stored as
+presentation-file text and parsed on access, so the catalog doubles as a
+test corpus for the parser; the (deformed) preprojective algebras are
+generated from their diagrams.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import functools
+from typing import Dict, List, Sequence, Tuple
 
 from .coeff import MultiPoly, ParamRing, RatFunc, elementary_symmetric, parse_poly
 from .pathalg import (
@@ -237,57 +241,74 @@ class InvariantData:
         return {g: [parse_poly(s, ring) for s in texts] for g, texts in self.taus.items()}
 
 
-class FlopCatalogEntry:
-    """Everything the pipeline needs for one universal flopping algebra."""
+class Builtin:
+    """A catalog entry: a named presentation with optional extras.
 
-    def __init__(self, length: int, coloring: Coloring, presentation_text: str,
-                 central_fibre_text: str, central_fibre_map: Dict[str, str],
-                 x: str, aux: Sequence[Tuple[str, str]], generators: List[str],
-                 invariants: InvariantData,
-                 nice: Optional[Tuple[Tuple[str, ...], Dict[str, str]]] = None):
-        self.length = length
-        self.coloring = coloring
-        self.diagram = coloring.diagram
-        self._presentation_text = presentation_text
-        self._central_fibre_text = central_fibre_text
-        self.central_fibre_map = central_fibre_map
-        self.x_text = x
-        self.aux_texts = aux
-        self.generator_texts = list(generators)
-        self.invariants = invariants
-        # (nice parameter names, raw parameter -> polynomial text in them)
+    `text` is the presentation-file text, or a function that builds the
+    presentation (the generated preprojective algebras).  `family` is the
+    length of the universal flopping algebra whose x', auxiliary generators
+    and module generators the pipeline reads over this presentation; None
+    when the entry has no pipeline data.  `nice` is the recorded change of
+    basis, (nice parameter names, raw parameter -> polynomial text in them).
+    `eliminated` names the parameter-eliminated twin to use for contractions.
+    """
+
+    __slots__ = ("name", "text", "superpotential", "family", "eliminated", "nice")
+
+    def __init__(self, name, text, superpotential=None, family=None, eliminated=None,
+                 nice=None):
+        self.name = name
+        self.text = text
+        self.superpotential = superpotential
+        self.family = family
+        self.eliminated = eliminated
         self.nice = nice
 
-    @property
-    def name(self) -> str:
-        return "length-%d" % self.length
-
     def presentation(self) -> AlgebraPresentation:
-        return parse_presentation(self._presentation_text)
+        return self.text() if callable(self.text) else parse_presentation(self.text)
 
-    def central_fibre_presentation(self) -> AlgebraPresentation:
-        return parse_presentation(self._central_fibre_text)
-
-    def param_ring(self) -> ParamRing:
-        return self.presentation().params
-
-    # -- pipeline presentations -------------------------------------------
+    def superpotential_element(self) -> Element:
+        pres = self.presentation()
+        return parse_element(self.superpotential, pres.quiver, pres.params)
 
     def pipeline(self) -> "PipelineData":
-        """The pure presentation plus the commuting generator elements.
-
-        The presentation is always the raw one, truncated at its entry in
-        `_PIPELINE_DEGREES`.  A recorded nice basis (length 2) becomes the
-        ring map `PipelineData.nice_basis`, applied to the pipeline outputs.
-        """
+        """Pipeline data over this presentation, truncated at its entry in
+        `_PIPELINE_DEGREES` (exact there: a successful expansion is unique);
+        the text's own gb_degree stays the default of `gb` and `nf`.  A
+        recorded nice basis becomes the ring map `PipelineData.nice_basis`,
+        applied to the pipeline outputs."""
+        if self.family is None:
+            raise CatalogError("builtin %r has no pipeline data" % self.name)
+        spec = _ENTRY_SPECS[self.family]
         pres = self.presentation()
         pres.gb_degree = _PIPELINE_DEGREES[self.name]
         nice_basis = None
         if self.nice is not None:
             names, texts = self.nice
-            ring = ParamRing(tuple(names) + tuple(n for n, _ in self.aux_texts))
+            ring = ParamRing(tuple(names) + tuple(n for n, _ in spec["aux"]))
             nice_basis = (ring, {k: parse_poly(v, ring) for k, v in texts.items()})
-        return PipelineData(pres, self.x_text, self.aux_texts, self.generator_texts, nice_basis)
+        return PipelineData(pres, spec["x"], spec["aux"], spec["generators"], nice_basis)
+
+    def __repr__(self):
+        return "Builtin(%s)" % self.name
+
+
+class FlopCatalogEntry(Builtin):
+    """The universal flopping algebra of one length, which is its own family,
+    with its coloring, central fibre and Weyl-invariant data."""
+
+    def __init__(self, length: int):
+        spec = _ENTRY_SPECS[length]
+        super().__init__("length-%d" % length, spec["text"], family=length,
+                         nice=spec.get("nice"))
+        self.length = length
+        self.coloring = Coloring(DIAGRAMS[spec["diagram"]], spec["black"], length)
+        self.diagram = self.coloring.diagram
+        self.central_fibre_map = spec["cf_map"]
+        self.invariants = _INV[length]
+
+    def central_fibre_presentation(self) -> AlgebraPresentation:
+        return parse_presentation(_ENTRY_SPECS[self.length]["cf"])
 
     def __repr__(self):
         return "FlopCatalogEntry(length=%d, %s)" % (self.length, self.coloring)
@@ -623,19 +644,6 @@ _ENTRY_SPECS = {
 }
 
 
-def universal_flopping_algebra(length: int) -> FlopCatalogEntry:
-    """Catalog entry for the universal flopping algebra of the given length."""
-    try:
-        spec = _ENTRY_SPECS[length]
-    except KeyError:
-        raise CatalogError("length must be 1..6, got %r" % (length,))
-    coloring = Coloring(DIAGRAMS[spec["diagram"]], spec["black"], length)
-    return FlopCatalogEntry(
-        length, coloring, spec["text"], spec["cf"], spec["cf_map"], spec["x"], spec["aux"],
-        spec["generators"], _INV[length], nice=spec.get("nice"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # specialized builtins (Section 5 examples)
 # ---------------------------------------------------------------------------
@@ -715,7 +723,7 @@ relations: a*(b + c)
 relations: b^%(i)d + A*a - (-b - c)^%(k)d
 relations: c^%(j)d + A*a - (-b - c)^%(k)d
 precedence: a, A, b, c
-gb_degree: %(gb)d
+gb_degree: 8
 """
 
 _L5_NCCR_TEXT = """
@@ -799,7 +807,8 @@ LENGTH2_RLINEAR = {
     "x_combination": ("b*c", "A*a", "t", "v"),
 }
 
-# intermediate 3-vertex presentation on the way to length 5 (test material)
+# intermediate 3-vertex presentation on the way to length 5 (test material),
+# with t0 = -(2 t1 + 3 t2 + 4 t3 + 5 t4 + 3 t5 + 2 t6 + 4 t7 + 6 t8) written out
 _L5_INTERMEDIATE_TEXT = """
 name: length-5-intermediate
 params: t1, t2, t3, t4, t5, t6, t7, t8
@@ -815,98 +824,71 @@ relations: c^3 - (t6 + 2*t7)*c^2 + t7*(t6 + t7)*c
 relations: A4*a4 + b + c + t8*e8
 precedence: a, A, a4, A4, d, b, c
 gb_degree: 8
-"""
+""".replace(
+    "(t0)", "(-(2*t1 + 3*t2 + 4*t3 + 5*t4 + 3*t5 + 2*t6 + 4*t7 + 6*t8))")
 
 
-def _l5_intermediate_text() -> str:
-    t0 = "(-(2*t1 + 3*t2 + 4*t3 + 5*t4 + 3*t5 + 2*t6 + 4*t7 + 6*t8))"
-    return _L5_INTERMEDIATE_TEXT.replace("(t0)", t0)
+# the Section 5 examples, in name order
+_SPECIALIZED = [
+    # Laufer flop: length-2 specialization with w=-t, u=y, v=0
+    Builtin("laufer", _LAUFER_TEXT, family=2, eliminated="laufer-nccr"),
+    Builtin("laufer-nccr", _LAUFER_NCCR_TEXT, _LAUFER_SUPERPOTENTIAL),
+    # explicit length-3 flop with recorded hypersurface and 6x6 factorization
+    Builtin("length-3-example", _L3_EXAMPLE_TEXT, family=3),
+    Builtin("length-3-nccr", _L3_NCCR_TEXT, _L3_SUPERPOTENTIAL),
+    Builtin("length-4-nccr", _L46_NCCR_TEMPLATE % {"l": 4, "i": 2, "j": 4, "k": 3},
+            "a*b*A + a*c*A + (1/3)*b^3 + (1/5)*c^5 + (1/4)*(-b - c)^4"),
+    # 3-vertex idempotent slice used to derive the length-5 presentation
+    Builtin("length-5-intermediate", _L5_INTERMEDIATE_TEXT),
+    Builtin("length-5-nccr", _L5_NCCR_TEXT, _L5_SUPERPOTENTIAL),
+    Builtin("length-6-nccr", _L46_NCCR_TEMPLATE % {"l": 6, "i": 2, "j": 3, "k": 5},
+            "a*b*A + a*c*A + (1/3)*b^3 + (1/4)*c^4 + (1/6)*(-b - c)^6"),
+]
 
 
-class Builtin:
-    """A named specialized presentation with optional extras.
-
-    `family` is the length (2 or 3) of the universal flopping algebra that
-    the presentation specializes, when the pipeline runs on it: x', the
-    auxiliary generators and the module generators are that family's.
-    `eliminated` names the parameter-eliminated twin to use for
-    contractions.
-    """
-
-    def __init__(self, name, text, superpotential=None, family=None, eliminated=None):
-        self.name = name
-        self.text = text
-        self.superpotential = superpotential
-        self.family = family
-        self.eliminated = eliminated
-
-    def presentation(self) -> AlgebraPresentation:
-        return parse_presentation(self.text)
-
-    def superpotential_element(self) -> Element:
-        pres = self.presentation()
-        return parse_element(self.superpotential, pres.quiver, pres.params)
-
-    def pipeline(self) -> PipelineData:
-        """Pipeline data over this presentation, truncated at its entry in
-        `_PIPELINE_DEGREES` (exact there: a successful expansion is unique);
-        the text's own gb_degree stays the default of `gb` and `nf`."""
-        if self.family is None:
-            raise CatalogError("builtin %r has no pipeline data" % self.name)
-        spec = _ENTRY_SPECS[self.family]
-        pres = self.presentation()
-        pres.gb_degree = _PIPELINE_DEGREES[self.name]
-        return PipelineData(pres, spec["x"], spec["aux"], spec["generators"])
-
-    def __repr__(self):
-        return "Builtin(%s)" % self.name
+@functools.lru_cache(maxsize=None)
+def _catalog() -> Dict[str, Builtin]:
+    """Every catalog name, in the order `catalog list` prints them, with its
+    entry.  Built on first use, so a process that reads only `builtins()`
+    builds no other entry."""
+    return {e.name: e for e in (
+        [FlopCatalogEntry(l) for l in _ENTRY_SPECS]
+        + [Builtin("central-fibre-%d" % l, spec["cf"]) for l, spec in _ENTRY_SPECS.items()]
+        + [Builtin("preprojective-" + d, functools.partial(preprojective, DIAGRAMS[d]))
+           for d in DIAGRAMS]
+        + [Builtin("deformed-preprojective-" + d,
+                   functools.partial(deformed_preprojective, DIAGRAMS[d])) for d in DIAGRAMS]
+        + _SPECIALIZED
+    )}
 
 
-def builtins() -> Dict[str, Builtin]:
-    out = {
-        # Laufer flop: length-2 specialization with w=-t, u=y, v=0
-        "laufer": Builtin("laufer", _LAUFER_TEXT, family=2, eliminated="laufer-nccr"),
-        "laufer-nccr": Builtin("laufer-nccr", _LAUFER_NCCR_TEXT, _LAUFER_SUPERPOTENTIAL),
-        "length-3-nccr": Builtin("length-3-nccr", _L3_NCCR_TEXT, _L3_SUPERPOTENTIAL),
-        # explicit length-3 flop with recorded hypersurface and 6x6 factorization
-        "length-3-example": Builtin("length-3-example", _L3_EXAMPLE_TEXT, family=3),
-        "length-5-nccr": Builtin("length-5-nccr", _L5_NCCR_TEXT, _L5_SUPERPOTENTIAL),
-        # 3-vertex idempotent slice used to derive the length-5 presentation
-        "length-5-intermediate": Builtin(
-            "length-5-intermediate", _l5_intermediate_text(),
-        ),
-    }
-    for l, i, j, k, gb in ((4, 2, 4, 3, 8), (6, 2, 3, 5, 8)):
-        text = _L46_NCCR_TEMPLATE % {"l": l, "i": i, "j": j, "k": k, "gb": gb}
-        phi = "a*b*A + a*c*A + (1/%d)*b^%d + (1/%d)*c^%d + (1/%d)*(-b - c)^%d" % (
-            i + 1, i + 1, j + 1, j + 1, k + 1, k + 1)
-        out["length-%d-nccr" % l] = Builtin("length-%d-nccr" % l, text, phi)
-    return out
+def catalog_entry(name: str) -> Builtin:
+    """The catalog entry of a public name."""
+    try:
+        return _catalog()[name]
+    except KeyError:
+        raise CatalogError("unknown catalog name %r (try: %s)" % (name, ", ".join(_catalog())))
 
 
 def catalog_names() -> List[str]:
-    names = ["length-%d" % l for l in range(1, 7)]
-    names += ["central-fibre-%d" % l for l in range(1, 7)]
-    names += ["preprojective-%s" % d for d in ("A1", "D4", "E6", "E7", "E8")]
-    names += ["deformed-preprojective-%s" % d for d in ("A1", "D4", "E6", "E7", "E8")]
-    names += sorted(builtins())
-    return names
+    return list(_catalog())
 
 
 def catalog_presentation(name: str) -> AlgebraPresentation:
     """Look up any catalog presentation by its public name."""
-    if name.startswith("length-") and name[7:].isdigit():
-        return universal_flopping_algebra(int(name[7:])).presentation()
-    if name.startswith("central-fibre-") and name[14:].isdigit():
-        return universal_flopping_algebra(int(name[14:])).central_fibre_presentation()
-    if name.startswith("preprojective-") and name[14:] in DIAGRAMS:
-        return preprojective(DIAGRAMS[name[14:]])
-    if name.startswith("deformed-preprojective-") and name[23:] in DIAGRAMS:
-        return deformed_preprojective(DIAGRAMS[name[23:]])
-    b = builtins()
-    if name in b:
-        return b[name].presentation()
-    raise CatalogError("unknown catalog name %r (try: %s)" % (name, ", ".join(catalog_names())))
+    return catalog_entry(name).presentation()
+
+
+def builtins() -> Dict[str, Builtin]:
+    """The specialized builtins (the Section 5 examples) by name."""
+    return {e.name: e for e in _SPECIALIZED}
+
+
+def universal_flopping_algebra(length: int) -> FlopCatalogEntry:
+    """Catalog entry for the universal flopping algebra of the given length."""
+    if length not in _ENTRY_SPECS:
+        raise CatalogError("length must be 1..6, got %r" % (length,))
+    return _catalog()["length-%d" % length]
 
 
 # ---------------------------------------------------------------------------

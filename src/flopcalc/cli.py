@@ -19,7 +19,7 @@ from typing import List, Optional
 from .catalog import (
     CatalogError,
     LENGTH2_CHARTS,
-    builtins,
+    catalog_entry,
     catalog_names,
     catalog_presentation,
     universal_flopping_algebra,
@@ -98,11 +98,7 @@ def _pipeline_source(args):
     if args.length is not None:
         return universal_flopping_algebra(args.length)
     if args.builtin:
-        b = builtins().get(args.builtin)
-        if b is None:
-            catalog_presentation(args.builtin)  # raises CatalogError on an unknown name
-            raise CatalogError("builtin %r has no pipeline data" % args.builtin)
-        return b
+        return catalog_entry(args.builtin)
     raise ParseError("one of --length or --builtin is required")
 
 
@@ -281,12 +277,11 @@ def cmd_specialize(args, out: _Out):
 
 def cmd_superpotential(args, out: _Out):
     if args.builtin:
-        b = builtins().get(args.builtin)
-        if b is None or b.superpotential is None:
-            catalog_presentation(args.builtin)  # raises CatalogError on an unknown name
+        entry = catalog_entry(args.builtin)
+        if entry.superpotential is None:
             raise CatalogError("builtin %r records no superpotential" % args.builtin)
-        pres = b.presentation()
-        phi = b.superpotential_element()
+        pres = entry.presentation()
+        phi = entry.superpotential_element()
     else:
         pres = _load_presentation(args)
         if args.phi is None:
@@ -374,8 +369,7 @@ def cmd_verify_rep(args, out: _Out):
 def cmd_contraction(args, out: _Out):
     # the family parameters are units of the coefficient field; the
     # contraction algebra lives in the parameter-eliminated twin
-    b = builtins().get(args.builtin)
-    twin = b.eliminated if b is not None else None
+    twin = catalog_entry(args.builtin).eliminated if args.builtin else None
     pres = catalog_presentation(twin) if twin else _load_presentation(args)
     report = contraction_report(pres, args.vertex, length=args.length, budget=Budget(args.budget))
     out.record("contraction")

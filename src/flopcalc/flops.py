@@ -253,7 +253,9 @@ def _expand(targets, module, aux: _AuxMonomials, gb: GroebnerBasis, budget: Budg
     bound, generator by generator.  Returns one {key: polynomial in the
     auxiliary variables} per target, with every key present.  A target
     outside the span raises TruncationInsufficientError with the message
-    `missing` % {"i": target index, "degree": truncation, "next": degree + 2}.
+    `missing` % {"i": target index, "degree": truncation, "next": hint}; the
+    hint is the presentation's recorded gb_degree when that is higher (a
+    catalog pipeline records its least working degree), else degree + 1.
     """
     columns = []
     for key, nf, bound in module:
@@ -268,8 +270,9 @@ def _expand(targets, module, aux: _AuxMonomials, gb: GroebnerBasis, budget: Budg
     for i, solution in enumerate(solutions):
         if solution is None:
             degree = gb.truncation_degree
+            recorded = aux.pipe.presentation.gb_degree or 0
             raise TruncationInsufficientError(
-                missing % {"i": i, "degree": degree, "next": degree + 2})
+                missing % {"i": i, "degree": degree, "next": max(recorded, degree + 1)})
         polys = {key: ring.zero() for key, _, _ in module}
         for (key, m), coeff in solution.items():
             if not coeff.is_polynomial():

@@ -4,8 +4,10 @@ from flopcalc.catalog import (
     DIAGRAMS,
     _PIPELINE_DEGREES,
     CatalogError,
+    FlopCatalogEntry,
     apply_simple_reflection,
     builtins,
+    catalog_entry,
     catalog_names,
     catalog_presentation,
     central_fibre_consistent,
@@ -32,6 +34,24 @@ def test_unknown_catalog_name():
                  "deformed-preprojective-Z9"):
         with pytest.raises(CatalogError):
             catalog_presentation(name)
+
+
+def test_one_table_serves_every_lookup():
+    names = catalog_names()
+    assert len(names) == len(set(names)) == 30
+    assert [catalog_entry(name).name for name in names] == names
+    for name, b in builtins().items():
+        assert catalog_entry(name) is b and b.family in (None, 2, 3)
+    for length in range(1, 7):
+        entry = universal_flopping_algebra(length)
+        assert entry is catalog_entry("length-%d" % length) and entry.family == length
+    # the universal entries read their own family through the one pipeline()
+    assert "pipeline" not in vars(FlopCatalogEntry)
+    for name in ("central-fibre-1", "preprojective-A1", "deformed-preprojective-E8"):
+        assert catalog_entry(name).family is None
+        assert catalog_entry(name).superpotential is None
+    with pytest.raises(CatalogError, match="length must be 1..6, got 7"):
+        universal_flopping_algebra(7)
 
 
 @pytest.mark.parametrize("length", range(1, 7))

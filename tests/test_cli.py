@@ -358,6 +358,43 @@ def test_pipeline_unknown_builtin_is_a_catalog_error(capsys):
         assert capsys.readouterr().err == "error: builtin 'laufer-nccr' has no pipeline data\n"
 
 
+def test_a_universal_catalog_name_runs_its_pipeline(capsys):
+    # --builtin length-2 reads the same catalog entry as --length 2
+    for command, extra in (("hypersurface", []), ("mf", ["--nice-basis"])):
+        by_length = invoke([command, "--length", "2"] + extra)
+        assert by_length[0] == EXIT_OK
+        assert invoke([command, "--builtin", "length-2"] + extra) == by_length
+
+
+@pytest.mark.parametrize("argv, hint", [
+    (["mf", "--builtin", "laufer", "--degree", "4"], "at truncation 4; try 5"),
+    (["hypersurface", "--builtin", "length-3-example", "--degree", "6"],
+     "at truncation degree 6; try 7"),
+    (["hypersurface", "--length", "2", "--degree", "2"], "at truncation degree 2; try 3"),
+])
+def test_a_too_low_degree_names_the_next_one_to_try(capsys, argv, hint):
+    # the hint is the pipeline's recorded least degree when that is higher,
+    # else one more than the failed degree
+    code, _ = invoke(argv)
+    assert code == EXIT_DOMAIN
+    assert capsys.readouterr().err.rstrip().endswith(hint)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["catalog", "show", "length-7"], "error: unknown catalog name 'length-7' (try: length-1, "),
+    (["hypersurface", "--builtin", "length-7"], "error: unknown catalog name 'length-7' (try: "),
+    (["superpotential", "--builtin", "laufer"], "error: builtin 'laufer' records no superpotential"),
+    (["superpotential", "--builtin", "central-fibre-2"],
+     "error: builtin 'central-fibre-2' records no superpotential"),
+    (["hypersurface", "--builtin", "preprojective-D4"],
+     "error: builtin 'preprojective-D4' has no pipeline data"),
+])
+def test_catalog_lookups_name_what_is_missing(capsys, argv, message):
+    code, _ = invoke(argv)
+    assert code == EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_superpotential_file_without_phi_is_a_usage_error(tmp_path, capsys):
     pres = tmp_path / "laufer.pres"
     assert invoke(["catalog", "show", "laufer-nccr", "--out", str(pres)])[0] == EXIT_OK

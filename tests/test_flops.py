@@ -10,6 +10,8 @@ from flopcalc.catalog import (
     LENGTH2_CHARTS,
     LENGTH2_RLINEAR,
     builtins,
+    catalog_entry,
+    catalog_names,
     preprojective,
     universal_flopping_algebra,
 )
@@ -143,8 +145,7 @@ def test_a_hypersurface_and_its_factorisation_parse_the_pipeline_once(monkeypatc
 
 
 def test_every_pipeline_has_a_truncation_degree():
-    names = {"length-%d" % l for l in range(1, 7)}
-    names |= {name for name, b in builtins().items() if b.family is not None}
+    names = {name for name in catalog_names() if catalog_entry(name).family is not None}
     assert set(_PIPELINE_DEGREES) == names
 
 
@@ -152,7 +153,7 @@ def test_every_pipeline_has_a_truncation_degree():
 def test_the_pipeline_degree_is_the_least_that_succeeds(name):
     # a successful expansion is exact at any truncation, so the table keeps
     # the least degree at which both expansions succeed
-    source = builtins().get(name) or universal_flopping_algebra(int(name[7:]))
+    source = catalog_entry(name)
     degree = _PIPELINE_DEGREES[name]
     mf = matrix_factorization(source)
     assert mf.hypersurface.gb.truncation_degree == degree and mf.check()

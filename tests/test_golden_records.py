@@ -8,7 +8,9 @@ exception is mf-length-3, first recorded with the leading-word echelon
 span solve, since the Bareiss solve before it did not finish: the run that
 wrote it passed the pipeline's own exact checks (C^2 = g I and the
 centring of x), and sympy confirmed C^2 = g I from the file.  `catalog show` and `specialize`
-print the records header, followed by the presentation text itself.  The
+print the records header, followed by the presentation text itself; `catalog
+list` and the `catalog show` goldens pin the catalog table's order, its
+stored texts and its generated presentations.  The
 pipeline goldens stay byte-identical when a pipeline's truncation degree
 is lowered, as a successful expansion is unique.
 """
@@ -39,7 +41,11 @@ COMMANDS = {
     "invariants-length-3": ["invariants", "--length", "3"],
     "nf-length-2-aA-6": ["nf", "--builtin", "length-2", "--element", "a*A", "--degree", "6"],
     "gv-27-6-3": ["gv", "--dim", "27", "--dim-ab", "6", "--length", "3"],
+    "catalog-list": ["catalog", "list"],
     "catalog-show-length-2": ["catalog", "show", "length-2"],
+    "catalog-show-preprojective-E6": ["catalog", "show", "preprojective-E6"],
+    "catalog-show-deformed-preprojective-D4": ["catalog", "show", "deformed-preprojective-D4"],
+    "catalog-show-central-fibre-5": ["catalog", "show", "central-fibre-5"],
     "specialize-length-3-example": ["specialize", "--builtin", "length-3",
                                     "--map", str(GOLDEN / "length-3-example.map")],
 }
