@@ -49,16 +49,14 @@ class CatalogError(PathAlgebraError):
 class DynkinDiagram:
     """Extended ADE diagram: vertex 0 is the extending vertex (label 1).
 
-    `labels[i]` is the dual Coxeter label of vertex i; `edges` maps a
-    vertex pair to its edge multiplicity (2 for the doubled A1 bond);
-    `orientation` fixes one arrow per edge for the (pre)projective quivers.
+    `labels[i]` is the dual Coxeter label of vertex i; `orientation` fixes
+    one arrow per edge for the (pre)projective quivers.
     """
 
-    def __init__(self, name: str, labels: Sequence[int], edges: Dict[Tuple[int, int], int],
+    def __init__(self, name: str, labels: Sequence[int],
                  orientation: Sequence[Tuple[str, int, int]]):
         self.name = name
         self.labels = tuple(labels)
-        self.edges = {tuple(sorted(k)): v for k, v in edges.items()}
         self.orientation = list(orientation)
         self.n = len(labels) - 1  # non-extending vertices are 1..n
 
@@ -66,7 +64,8 @@ class DynkinDiagram:
         return list(range(self.n + 1))
 
     def multiplicity(self, i: int, j: int) -> int:
-        return self.edges.get(tuple(sorted((i, j))), 0)
+        """The number of edges joining i and j (2 for the doubled A1 bond)."""
+        return sum(1 for _, s, t in self.orientation if {s, t} == {i, j})
 
     def param_ring(self) -> ParamRing:
         """H_Gamma presented on t1..tn; t0 is eliminated via the labels."""
@@ -88,30 +87,25 @@ class DynkinDiagram:
 
 DIAGRAMS: Dict[str, DynkinDiagram] = {
     "A1": DynkinDiagram(
-        "A1", labels=(1, 1), edges={(0, 1): 2},
+        "A1", labels=(1, 1),
         orientation=[("a0", 0, 1), ("a1", 1, 0)],
     ),
     "D4": DynkinDiagram(
         "D4", labels=(1, 1, 1, 1, 2),
-        edges={(0, 4): 1, (1, 4): 1, (2, 4): 1, (3, 4): 1},
         orientation=[("a0", 0, 4), ("a1", 1, 4), ("a2", 2, 4), ("a3", 3, 4)],
     ),
     "E6": DynkinDiagram(
         "E6", labels=(1, 2, 1, 2, 1, 2, 3),
-        edges={(0, 1): 1, (1, 6): 1, (2, 3): 1, (3, 6): 1, (4, 5): 1, (5, 6): 1},
         orientation=[("a0", 0, 1), ("a1", 1, 6), ("a2", 2, 3), ("a3", 3, 6),
                      ("a4", 4, 5), ("a5", 5, 6)],
     ),
     "E7": DynkinDiagram(
         "E7", labels=(1, 2, 3, 2, 1, 2, 3, 4),
-        edges={(0, 1): 1, (1, 2): 1, (2, 7): 1, (3, 7): 1, (4, 5): 1, (5, 6): 1, (6, 7): 1},
         orientation=[("a0", 0, 1), ("a1", 1, 2), ("a2", 2, 7), ("a3", 3, 7),
                      ("a4", 4, 5), ("a5", 5, 6), ("a6", 6, 7)],
     ),
     "E8": DynkinDiagram(
         "E8", labels=(1, 2, 3, 4, 5, 3, 2, 4, 6),
-        edges={(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 4): 1, (4, 8): 1, (5, 8): 1,
-               (6, 7): 1, (7, 8): 1},
         orientation=[("a0", 0, 1), ("a1", 1, 2), ("a2", 2, 3), ("a3", 3, 4),
                      ("a4", 4, 8), ("a5", 5, 8), ("a6", 6, 7), ("a7", 7, 8)],
     ),

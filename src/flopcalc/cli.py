@@ -39,6 +39,8 @@ from .ncgb import Budget, BudgetExceededError, normal_form, truncated_groebner
 from .pathalg import (
     ParseError,
     PathAlgebraError,
+    _check_once,
+    _check_param_names,
     _parse_int,
     format_presentation,
     parse_element,
@@ -223,18 +225,25 @@ def _parse_value(text: str, ring: ParamRing, lineno: int, start: int):
         raise ParseError(str(exc), line=lineno, column=column)
 
 
-def _parse_ring(line: str, lineno: int) -> ParamRing:
-    """The ring of a `ring: name, ...` line."""
+def _parse_ring(line: str, lineno: int, ring_line: Optional[int], pres=None) -> ParamRing:
+    """The ring of a `ring: name, ...` line; `ring_line` is that of an
+    earlier one.  With `pres`, each name must be a parameter name there."""
     try:
-        return ParamRing([n.strip() for n in line[5:].split(",") if n.strip()])
-    except CoeffError as exc:
+        ring = ParamRing([n.strip() for n in line[5:].split(",") if n.strip()])
+        if pres is not None:
+            _check_param_names(pres.quiver, ring)
+    except (CoeffError, PathAlgebraError) as exc:
         raise ParseError(str(exc), line=lineno)
+    _check_once(ring_line is not None, "'ring:'", lineno)
+    return ring
 
 
-def _parameter(name: str, pres, lineno: int) -> str:
-    """`name`, once it is known to be a parameter of the presentation."""
+def _parameter(name: str, pres, lineno: int, mapped) -> str:
+    """`name`, once it is known to be a parameter of the presentation that
+    `mapped` does not map yet."""
     if name not in pres.params.names:
         raise ParseError("%r is not a parameter of the presentation" % name, line=lineno)
+    _check_once(name in mapped, "the image of %r" % name, lineno)
     return name
 
 
@@ -251,20 +260,19 @@ def _parse_map_file(path: str, pres):
     """(ring, {parameter: polynomial over ring}); without a `ring:` line the
     ring is that of the unmapped parameters."""
     ring = ring_line = None
-    entries = []
+    entries = {}  # parameter -> (value text, line number, offset)
     for lineno, line, offset in _content_lines(path):
         if line.startswith("ring:"):
-            ring, ring_line = _parse_ring(line, lineno), lineno
+            ring, ring_line = _parse_ring(line, lineno, ring_line, pres), lineno
             continue
         if "=" not in line:
             raise ParseError("bad map line %r" % line, line=lineno)
         name, value = line.split("=", 1)
         value, at = _stripped(value, offset + len(name) + 1)
-        entries.append((_parameter(name.strip(), pres, lineno), value, lineno, at))
+        entries[_parameter(name.strip(), pres, lineno, entries)] = (value, lineno, at)
     if ring is None:
-        mapped = {k for k, _, _, _ in entries}
-        ring = ParamRing([n for n in pres.params.names if n not in mapped])
-    mapping = {k: _parse_value(v, ring, lineno, at) for k, v, lineno, at in entries}
+        ring = ParamRing([n for n in pres.params.names if n not in entries])
+    mapping = {k: _parse_value(v, ring, lineno, at) for k, (v, lineno, at) in entries.items()}
     _check_unmapped(pres, mapping, ring, ring_line)
     return ring, mapping
 
@@ -299,7 +307,7 @@ def _parse_rep_file(path: str, alg):
     matrix_texts = {}  # arrow -> (line number, rows of (entry text, offset))
     for lineno, line, offset in _content_lines(path):
         if line.startswith("ring:"):
-            ring, ring_line = _parse_ring(line, lineno), lineno
+            ring, ring_line = _parse_ring(line, lineno, ring_line), lineno
         elif line.startswith("dims:"):
             for part in line[5:].split(","):
                 v, eq, n = part.partition("=")
@@ -309,6 +317,7 @@ def _parse_rep_file(path: str, alg):
                                      % part.strip(), line=lineno)
                 if v not in alg.quiver.vertices:
                     raise ParseError("%r is not a vertex of the quiver" % v, line=lineno)
+                _check_once(v in dims, "the dimension of vertex %r" % v, lineno)
                 dims[v] = _parse_int(n, "dimension of vertex %r" % v, lineno)
                 if dims[v] < 0:
                     raise ParseError("dimension of vertex %r is negative" % v, line=lineno)
@@ -316,7 +325,7 @@ def _parse_rep_file(path: str, alg):
             name, eq, value = line[4:].partition("=")
             if not eq:
                 raise ParseError("map line is not parameter = polynomial", line=lineno)
-            param_texts[_parameter(name.strip(), alg, lineno)] = (
+            param_texts[_parameter(name.strip(), alg, lineno, param_texts)] = (
                 (lineno,) + _stripped(value, offset + 5 + len(name)))
         elif line.startswith("matrix"):
             head, colon, value = line.partition(":")
@@ -325,6 +334,7 @@ def _parse_rep_file(path: str, alg):
             name = head[len("matrix"):].strip()
             if name not in [a.name for a in alg.quiver.arrows]:
                 raise ParseError("%r is not an arrow of the quiver" % name, line=lineno)
+            _check_once(name in matrix_texts, "the matrix of %r" % name, lineno)
             value, at = _stripped(value, offset + len(head) + 1)
             if not (value.startswith("[") and value.endswith("]")):
                 raise ParseError("matrix rows must be bracketed", line=lineno)

@@ -48,28 +48,22 @@ class DivisionByZeroError(ZeroDivisionError):
 
 
 class ParamRing:
-    """An ordered list of commuting parameter names with an integer grading.
+    """An ordered list of distinct commuting parameter names.
 
-    The grading (degree 2 per parameter by default) is bookkeeping only: it
-    never influences arithmetic, just degree accounting in callers.
+    A name is what the polynomial syntax reads as one name token: a letter
+    or `_`, then letters, digits or `_`.
     """
 
-    __slots__ = ("names", "grading", "_index", "_shifts", "_deg_shift", "_key_limit",
-                 "_zero", "_one")
+    __slots__ = ("names", "_index", "_shifts", "_deg_shift", "_key_limit", "_zero", "_one")
 
-    def __init__(self, names: Sequence[str], grading: Optional[Mapping[str, int]] = None):
+    def __init__(self, names: Sequence[str]):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise CoeffError("parameter names must be distinct: %r" % (names,))
         for n in names:
-            if not n or not (n[0].isalpha() or n[0] == "_"):
+            if not n or _name_end(n, 0) != len(n):
                 raise CoeffError("bad parameter name %r" % n)
         self.names = names
-        grading = dict(grading or {})
-        unknown = set(grading) - set(names)
-        if unknown:
-            raise CoeffError("grading for undeclared parameters: %r" % sorted(unknown))
-        self.grading = tuple(int(grading.get(n, 2)) for n in names)
         self._index = {n: i for i, n in enumerate(names)}
         width = len(names)
         # exponent i sits in field width-1-i, the total degree above them all
@@ -128,7 +122,7 @@ class ParamRing:
 
     def extend(self, extra: Sequence[str]) -> "ParamRing":
         """Ring with additional parameters appended after the current ones."""
-        return ParamRing(self.names + tuple(extra), dict(zip(self.names, self.grading)))
+        return ParamRing(self.names + tuple(extra))
 
 
 def _grlex_key(exp: Exponents):
@@ -212,13 +206,6 @@ class MultiPoly:
         if not self.num:
             return -1
         return max(self.num) >> self.ring._deg_shift
-
-    def graded_degree(self) -> int:
-        """Degree under the ring's parameter grading (default 2 each)."""
-        if not self.num:
-            return -1
-        g, unpack = self.ring.grading, self.ring._unpack
-        return max(sum(k * w for k, w in zip(unpack(e), g)) for e in self.num)
 
     def lead(self) -> Tuple[Exponents, Fraction]:
         """Leading (exponent, coefficient) under graded lex."""
@@ -436,6 +423,17 @@ class _Tok:
         return "end of input" if self.kind == "end" else "token %r" % (self.value,)
 
 
+def _name_end(text: str, i: int) -> int:
+    """End of the name that starts at offset i of `text`: a letter or `_`,
+    then letters, digits or `_`; i itself when no name starts there."""
+    n = len(text)
+    if i < n and (text[i].isalpha() or text[i] == "_"):
+        i += 1
+        while i < n and (text[i].isalnum() or text[i] == "_"):
+            i += 1
+    return i
+
+
 def tokenize_poly(text: str) -> List[_Tok]:
     toks: List[_Tok] = []
     i, n = 0, len(text)
@@ -448,13 +446,13 @@ def tokenize_poly(text: str) -> List[_Tok]:
             toks.append(_Tok(ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # not str.isdigit: it holds for "²", which int() refuses
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "/" and j + 1 < n and "0" <= text[j + 1] <= "9":
                 k = j + 1
-                while k < n and text[k].isdigit():
+                while k < n and "0" <= text[k] <= "9":
                     k += 1
                 den = int(text[j + 1:k])
                 if not den:
@@ -465,10 +463,8 @@ def tokenize_poly(text: str) -> List[_Tok]:
                 toks.append(_Tok("num", Fraction(int(text[i:j])), i))
                 i = j
             continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+        j = _name_end(text, i)
+        if j > i:
             toks.append(_Tok("name", text[i:j], i))
             i = j
             continue

@@ -217,20 +217,16 @@ class _RuleIndex:
             self.empty_leads[rule.lead.source] = rule
 
     def remove(self, rule: Rule):
+        """Retire a rule; only a nonempty lead is ever retired."""
         del self.rules[rule.lead]
-        if rule.lead.arrows:
-            self.by_first[rule.lead.arrows[0]].remove(rule)
-        else:
-            del self.empty_leads[rule.lead.source]
+        self.by_first[rule.lead.arrows[0]].remove(rule)
 
     def replace(self, old: Rule, new: Rule):
-        """Put `new`, which has `old`'s lead, in `old`'s place everywhere."""
+        """Put `new`, which has `old`'s lead, in `old`'s place everywhere; the
+        lead is nonempty, as an empty lead's tail is empty and never re-reduced."""
         self.rules[new.lead] = new
-        if new.lead.arrows:
-            same_first = self.by_first[new.lead.arrows[0]]
-            same_first[same_first.index(old)] = new
-        else:
-            self.empty_leads[new.lead.source] = new
+        same_first = self.by_first[new.lead.arrows[0]]
+        same_first[same_first.index(old)] = new
 
     def find(self, source: str, word: Tuple[int, ...]):
         """Leftmost match in the word `word` from `source`: (position,

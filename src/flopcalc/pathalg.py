@@ -18,7 +18,9 @@ The module also owns the line-oriented presentation file format::
     relations: A*a + b + c + d - (1/2)*t*e4
 
 `e<v>` denotes the idempotent at vertex v, `*` is (noncommutative) product,
-`#` starts a comment.  parse -> print -> parse is the identity.
+`#` starts a comment.  A parameter is a name (`coeff.ParamRing`) that no
+arrow or idempotent has; only arrows carry a degree.  `name`, `precedence`
+and `gb_degree` are given once.  parse -> print -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -65,8 +67,9 @@ class ParseError(PathAlgebraError):
         self.column = column
 
 
-class ArrowSpecError(PathAlgebraError):
-    """A bad arrow given to `Quiver`; `index` is its position in the list."""
+class EntryError(PathAlgebraError):
+    """A bad arrow given to `Quiver`, or a bad parameter name of an
+    `AlgebraPresentation`; `index` is its position in that list."""
 
     def __init__(self, message, index):
         super().__init__(message)
@@ -103,11 +106,11 @@ class Quiver:
             deg = spec[3] if len(spec) > 3 else 1
             a = Arrow(spec[0], str(spec[1]), str(spec[2]), deg, i)
             if a.name in names:
-                raise ArrowSpecError("duplicate arrow name %r" % a.name, i)
+                raise EntryError("duplicate arrow name %r" % a.name, i)
             if a.degree < 1:
-                raise ArrowSpecError("arrow %r must have positive degree" % a.name, i)
+                raise EntryError("arrow %r must have positive degree" % a.name, i)
             if a.source not in vset or a.target not in vset:
-                raise ArrowSpecError("arrow %r has undeclared endpoint" % a.name, i)
+                raise EntryError("arrow %r has undeclared endpoint" % a.name, i)
             names.add(a.name)
             built.append(a)
         self.arrows = tuple(built)
@@ -418,19 +421,12 @@ class Element:
             if cs == "1":
                 body = word
             elif cs == "-1":
-                body = "- " + word
+                body = "-" + word
+            elif not c.den.is_one() or len(c.num.num) > 1:
+                body = "(%s)*%s" % (cs, word)
             else:
-                if ("+" in cs[1:] or ("-" in cs[1:].replace("/", "")) or "/" in cs) and not c.den.is_one():
-                    cs = "(%s)" % cs
-                elif "+" in cs[1:] or " - " in cs:
-                    cs = "(%s)" % cs
                 body = "%s*%s" % (cs, word)
-            if body.startswith("- "):
-                parts.append("- " + body[2:])
-            elif body.startswith("-"):
-                parts.append("- " + body[1:])
-            else:
-                parts.append("+ " + body)
+            parts.append("- " + body[1:] if body.startswith("-") else "+ " + body)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
@@ -483,6 +479,13 @@ def algebra_map(x: Element, quiver: Quiver, params: ParamRing,
     return out
 
 
+def _check_param_names(quiver: Quiver, params: ParamRing) -> None:
+    """Every parameter must be readable as itself in the element syntax."""
+    for i, n in enumerate(params.names):
+        if n in quiver._by_name or (n[:1] == "e" and n[1:] in quiver.vertices):
+            raise EntryError("parameter %r is also the name of an arrow or an idempotent" % n, i)
+
+
 class AlgebraPresentation:
     """A quiver, a central parameter ring, and a finite relation list.
 
@@ -507,6 +510,7 @@ class AlgebraPresentation:
         self.name = name
         self.precedence = tuple(precedence) if precedence is not None else None
         self.gb_degree = gb_degree
+        _check_param_names(quiver, params)
         for i, r in enumerate(self.relations):
             if r.quiver != quiver or r.params != params:
                 raise PathAlgebraError("relation %d belongs to a different algebra" % i)
@@ -638,8 +642,7 @@ def parse_element(text: str, quiver: Quiver, params: ParamRing) -> Element:
 def parse_presentation(text: str) -> AlgebraPresentation:
     """Parse the line-oriented presentation format (see module docstring)."""
     name = ""
-    params: List[str] = []
-    grading: Dict[str, int] = {}
+    params: List[Tuple[str, int]] = []  # (name, line number)
     ring = ParamRing(())
     vertices: List[str] = []
     arrow_specs: List[Tuple[str, str, str, int]] = []
@@ -648,6 +651,7 @@ def parse_presentation(text: str) -> AlgebraPresentation:
     precedence: Optional[List[str]] = None
     precedence_line = 0
     gb_degree: Optional[int] = None
+    given = set()  # the single-valued keys seen so far
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
@@ -659,22 +663,15 @@ def parse_presentation(text: str) -> AlgebraPresentation:
         key, value = line.split(":", 1)
         key = key.strip()
         value = value.strip()
+        if key in ("name", "precedence", "gb_degree"):
+            _check_once(key in given, "%r" % (key + ":"), lineno)
+            given.add(key)
         if key == "name":
             name = value
         elif key == "params":
-            for tok in _split_list(value):
-                if "(" in tok:
-                    nm, deg = tok.split("(", 1)
-                    nm = nm.strip()
-                    deg = deg.strip()
-                    if not deg.startswith("deg") or not deg.endswith(")"):
-                        raise ParseError("bad parameter grading %r" % tok, line=lineno)
-                    grading[nm] = _parse_int(deg[3:-1], "parameter grading of %r" % nm, lineno)
-                    params.append(nm)
-                else:
-                    params.append(tok)
+            params += [(p, lineno) for p in _split_list(value)]
             try:
-                ring = ParamRing(params, grading)
+                ring = ParamRing([p for p, _ in params])
             except CoeffError as exc:
                 raise ParseError(str(exc), line=lineno)
         elif key == "vertices":
@@ -705,8 +702,12 @@ def parse_presentation(text: str) -> AlgebraPresentation:
         raise ParseError("no vertices declared")
     try:
         quiver = Quiver(vertices, arrow_specs, name=name)
-    except ArrowSpecError as exc:
+    except EntryError as exc:
         raise ParseError(str(exc), line=arrow_lines[exc.index])
+    try:
+        _check_param_names(quiver, ring)
+    except EntryError as exc:
+        raise ParseError(str(exc), line=params[exc.index][1])
     if precedence is not None:
         try:
             MonomialOrder(quiver, precedence)
@@ -726,6 +727,12 @@ def parse_presentation(text: str) -> AlgebraPresentation:
     return AlgebraPresentation(
         quiver, ring, relations, name=name, precedence=precedence, gb_degree=gb_degree
     )
+
+
+def _check_once(repeated: bool, what: str, lineno: int) -> None:
+    """A single-valued entry may be given only once."""
+    if repeated:
+        raise ParseError("%s is given twice" % what, line=lineno)
 
 
 def _parse_int(text: str, what: str, lineno: int) -> int:
@@ -779,13 +786,7 @@ def format_presentation(pres: AlgebraPresentation) -> str:
     lines = []
     if pres.name:
         lines.append("name: %s" % pres.name)
-    if pres.params.names:
-        items = []
-        for n, g in zip(pres.params.names, pres.params.grading):
-            items.append(n if g == 2 else "%s (deg %d)" % (n, g))
-        lines.append("params: %s" % ", ".join(items))
-    else:
-        lines.append("params:")
+    lines.append(("params: %s" % ", ".join(pres.params.names)).rstrip())
     lines.append("vertices: %s" % ", ".join(pres.quiver.vertices))
     arrows = []
     for a in pres.quiver.arrows:

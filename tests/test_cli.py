@@ -86,12 +86,28 @@ def test_parse_error_exit_code(tmp_path):
 
 
 def test_bad_integers_in_a_presentation_are_usage_errors(tmp_path, capsys):
-    for line in ("gb_degree: x", "params: t (deg x)", "arrows: a: 0 -> 0 (deg y)"):
+    # a parameter carries no degree, so "(deg x)" makes it a bad name
+    for line, message in (("gb_degree: x", "must be an integer"),
+                          ("params: t (deg x)", "bad parameter name 't (deg x)' (line 5)"),
+                          ("arrows: a: 0 -> 0 (deg y)", "must be an integer")):
         bad = tmp_path / "bad.pres"
         bad.write_text("params:\nvertices: 0\narrows: b: 0 -> 0\nrelations: b*b\n%s\n" % line)
         code, _ = invoke(["gb", "--in", str(bad), "--degree", "4"])
         assert code == EXIT_USAGE
-        assert "must be an integer" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+
+def test_a_non_ascii_digit_is_a_parse_error(tmp_path, capsys):
+    code, _ = invoke(["nf", "--builtin", "laufer", "--element", "a*A + \u00b2"])
+    assert code == EXIT_USAGE
+    assert "unexpected character '\u00b2' at position 6 (column 7)" in capsys.readouterr().err
+    bad = tmp_path / "cube.pres"
+    bad.write_text("params:\nvertices: 0\narrows: b: 0 -> 0\nrelations: b*b - \u00b3*b\n",
+                   encoding="utf-8")
+    code, _ = invoke(["gb", "--in", str(bad), "--degree", "4"])
+    assert code == EXIT_USAGE
+    assert "unexpected character '\u00b3' at position 6 (line 4, column 18)" in (
+        capsys.readouterr().err)
 
 
 def test_element_parse_errors_give_the_column(capsys):
@@ -317,6 +333,40 @@ def test_malformed_rep_files_are_usage_errors_naming_the_line(tmp_path, capsys):
      "unrecognized arguments: --degree 5"),
     (["contraction", "--builtin", "laufer", "--length", "2", "--degree", "3"], None,
      "unrecognized arguments: --degree 3"),
+    (["gb", "--degree", "4", "--in"],
+     "params: b, e0\nvertices: 0\narrows: b: 0 -> 0\nrelations: b*e0 - b*b\n",
+     "parameter 'b' is also the name of an arrow or an idempotent (line 1)"),
+    (["gb", "--degree", "4", "--in"],
+     "params: t\nparams: e0\nvertices: 0\narrows: b: 0 -> 0\nrelations: b*e0\n",
+     "parameter 'e0' is also the name of an arrow or an idempotent (line 2)"),
+    (["gb", "--degree", "4", "--in"], "params: t-1\nvertices: 0\narrows: b: 0 -> 0\n",
+     "bad parameter name 't-1' (line 1)"),
+    (["specialize", "--builtin", "length-2", "--map"], "ring: s t\n",
+     "bad parameter name 's t' (line 1)"),
+    (["gb", "--degree", "4", "--in"], "name: x\nparams:\nvertices: 0\nname: y\n",
+     "'name:' is given twice (line 4)"),
+    (["gb", "--degree", "4", "--in"],
+     "params:\nvertices: 0\narrows: b: 0 -> 0\nprecedence: b\nprecedence: b\n",
+     "'precedence:' is given twice (line 5)"),
+    (["gb", "--in"], "params:\nvertices: 0\ngb_degree: 4\narrows: b: 0 -> 0\ngb_degree: 6\n",
+     "'gb_degree:' is given twice (line 5)"),
+    (["specialize", "--builtin", "length-2", "--map"], "t = 1\n\nt = 2\n",
+     "the image of 't' is given twice (line 3)"),
+    (["specialize", "--builtin", "length-2", "--map"], "ring: s\nring: s\n",
+     "'ring:' is given twice (line 2)"),
+    (["specialize", "--builtin", "length-2", "--map"], "\nring: b\nt = b\n",
+     "parameter 'b' is also the name of an arrow or an idempotent (line 2)"),
+    (["verify-rep", "--builtin", "laufer", "--rep"], "ring: t\nring: t\n",
+     "'ring:' is given twice (line 2)"),
+    (["verify-rep", "--builtin", "laufer", "--rep"], "ring: s\nmap: t = s\nmap: t = 1\n",
+     "the image of 't' is given twice (line 3)"),
+    (["verify-rep", "--builtin", "laufer", "--rep"], "ring: t\ndims: 0=1, 4=1, 4=2\n",
+     "the dimension of vertex '4' is given twice (line 2)"),
+    (["verify-rep", "--builtin", "laufer", "--rep"], "ring: t\ndims: 0=1, 4=1\ndims: 0=2\n",
+     "the dimension of vertex '0' is given twice (line 3)"),
+    (["verify-rep", "--builtin", "laufer", "--rep"],
+     "ring: t\ndims: 0=1, 4=1\nmatrix a: [1]\nmatrix a: [t]\n",
+     "the matrix of 'a' is given twice (line 4)"),
 ], ids=["catalog-show-no-name", "verify-rep-no-source", "rep-dims-omit-vertex",
         "rep-ragged-matrix", "rep-bad-map-value", "rep-bad-matrix-entry", "map-bad-value",
         "rep-omit-matrix", "map-ring-repeats", "map-ring-bad-name",
@@ -324,7 +374,13 @@ def test_malformed_rep_files_are_usage_errors_naming_the_line(tmp_path, capsys):
         "presentation-vertex-repeats", "presentation-param-repeats",
         "presentation-bad-precedence", "map-ring-lacks-unmapped", "rep-ring-lacks-unmapped",
         "specialize-budget", "specialize-degree", "verify-rep-budget", "verify-rep-degree",
-        "contraction-degree"])
+        "contraction-degree", "presentation-param-is-an-arrow",
+        "presentation-param-is-an-idempotent", "presentation-param-not-a-name",
+        "map-ring-not-a-name", "presentation-name-twice", "presentation-precedence-twice",
+        "presentation-gb-degree-twice", "map-entry-twice", "map-ring-line-twice",
+        "map-ring-param-is-an-arrow",
+        "rep-ring-line-twice", "rep-map-entry-twice", "rep-dims-twice-in-one-line",
+        "rep-dims-twice-across-lines", "rep-matrix-twice"])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, text, message):
     if text is not None:
         path = tmp_path / "input.txt"

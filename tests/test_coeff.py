@@ -15,6 +15,7 @@ from flopcalc.coeff import (
     format_poly,
     parse_poly,
     poly_gcd,
+    tokenize_poly,
 )
 
 RING = ParamRing(["t", "u", "v", "w"])
@@ -342,11 +343,38 @@ def test_param_ring_validation():
         ParamRing(["1bad"])
 
 
-def test_grading_default_two():
-    ring = ParamRing(["t", "s"], {"s": 4})
-    assert ring.grading == (2, 4)
-    p = ring.var("t") * ring.var("s")
-    assert p.graded_degree() == 6
+def test_a_parameter_is_one_name_token():
+    for name in ("t", "_", "T0b", "t_1", "x2y"):
+        assert ParamRing([name]).names == (name,)
+    for name in ("", "t (deg 4)", "s t", "t-1", "2t", " t", "t^2", "\u00b2"):
+        with pytest.raises(CoeffError, match="bad parameter name"):
+            ParamRing([name])
+
+
+def test_a_parameter_name_is_what_the_tokenizer_reads_as_one_name():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def accepted(s):
+        try:
+            ParamRing([s])
+        except CoeffError:
+            return False
+        return True
+
+    def one_name(s):
+        try:
+            toks = tokenize_poly(s)
+        except CoeffError:
+            return False
+        return len(toks) == 2 and toks[0].kind == "name" and toks[0].value == s
+
+    @hypothesis.settings(max_examples=3000, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.text(alphabet="tT_x09\u00b2\u216b\u00e9 -(", max_size=5))
+    def check(s):
+        assert accepted(s) == one_name(s)
+
+    check()
 
 
 def test_lead_ratio_divides_by_the_leading_coefficient():
@@ -361,8 +389,8 @@ def test_lead_ratio_divides_by_the_leading_coefficient():
 
 def test_cast_keeps_the_polynomial():
     p = parse_poly("(1/2)*t^2*u - w + 3", RING)
-    regraded = ParamRing(RING.names, {n: 4 for n in RING.names})
-    q = p.cast(regraded)
-    assert q.ring is regraded and q.terms == p.terms
+    same = ParamRing(RING.names)
+    q = p.cast(same)
+    assert same is not RING and q.ring is same and q.terms == p.terms
     wider = RING.extend(["z"])
     assert p.cast(wider).cast(RING) == p

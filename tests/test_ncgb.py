@@ -125,6 +125,21 @@ def test_dimension_examples():
         "params:\nvertices: 0\narrows: x: 0 -> 0\nrelations:")) == INFINITE
 
 
+def test_a_relation_that_kills_a_vertex():
+    # a*A = e0 makes e0 a rule with an empty lead; the completion then
+    # reduces e0 and every path through vertex 0 to zero
+    pres = pres_from("params:\nvertices: 0, 1\narrows: a: 0 -> 1, A: 1 -> 0, b: 1 -> 1\n"
+                     "relations: a*A - e0 ; a*b ; b*b ; A*a - b")
+    gb = truncated_groebner(pres, max_degree=6)
+    assert gb.serialize().endswith("e0 -> 0\nb -> 0\n")
+    assert dimension(pres) == 1
+    from flopcalc.contraction import completed_dimension, contraction_report
+    assert completed_dimension(pres) == 1
+    assert normal_form(pres.element("a*A*a + e0 + e1"), gb) == pres.element("e1")
+    assert contraction_report(pres, "1").dim == 0
+    assert contraction_report(pres, "0").dim == 1
+
+
 def test_dimension_central_fibre_contractions():
     # 2 l (l - 1) for l >= 2; the printed remark's value at length 3 is
     # inconsistent with its own neighbours (see the acceptance suite)

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from flopcalc.catalog import catalog_names, catalog_presentation
+from flopcalc.coeff import ParamRing
 from flopcalc.pathalg import (
+    AlgebraPresentation,
     Element,
     MonomialOrder,
     ParseError,
@@ -196,7 +198,6 @@ def test_parse_error_reports_line():
 
 @pytest.mark.parametrize("line, what", [
     ("gb_degree: x", "gb_degree must be an integer, got 'x'"),
-    ("params: t (deg x)", "parameter grading of 't' must be an integer, got 'x'"),
     ("arrows: a: 0 -> 0 (deg y)", "degree of arrow 'a' must be an integer, got 'y'"),
 ])
 def test_parse_rejects_bad_integers_naming_the_line(line, what):
@@ -205,6 +206,30 @@ def test_parse_rejects_bad_integers_naming_the_line(line, what):
         parse_presentation(text)
     assert str(err.value) == "%s (line 5)" % what
     assert err.value.line == 5
+
+
+@pytest.mark.parametrize("line, what", [
+    ("params: t (deg x)", "bad parameter name 't (deg x)'"),
+    ("params: t (deg 4)", "bad parameter name 't (deg 4)'"),
+    ("params: t-1", "bad parameter name 't-1'"),
+    ("params: s t", "bad parameter name 's t'"),
+    ("params: b", "parameter 'b' is also the name of an arrow or an idempotent"),
+    ("params: e0", "parameter 'e0' is also the name of an arrow or an idempotent"),
+])
+def test_parse_rejects_bad_parameter_names_naming_the_line(line, what):
+    text = "params: u\nvertices: 0\narrows: b: 0 -> 0\nrelations:\n" + line
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert str(err.value) == "%s (line 5)" % what
+
+
+def test_a_parameter_may_not_share_a_name_with_an_arrow_or_idempotent():
+    pres = parse_presentation("params: t\nvertices: 0\narrows: b: 0 -> 0\nrelations: b*b")
+    for names in (["b"], ["t", "e0"]):
+        with pytest.raises(PathAlgebraError, match="also the name of an arrow"):
+            AlgebraPresentation(pres.quiver, ParamRing(names), [])
+    # e1 names no idempotent here, so it is a parameter like any other
+    assert AlgebraPresentation(pres.quiver, ParamRing(["e1"]), []).params.names == ("e1",)
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,7 +1,7 @@
 """The presentation printer is a fixed point of the parser.
 
 Random small presentations (1-2 vertices, loops and arrows between them,
-0-2 graded parameters, rational coefficients) are parsed, printed, parsed
+0-2 parameters, rational coefficients) are parsed, printed, parsed
 again and printed again: both prints agree byte for byte, and both parses
 give the same presentation.  hypothesis is test-only; the module skips
 where it is missing.
@@ -47,8 +47,7 @@ def presentation_texts(draw):
                      draw(st.integers(1, 2)))
               for name in ["a", "b", "c"][:draw(st.integers(1, 3))]}
     lines = ["name: random"] if draw(st.booleans()) else []
-    lines.append("params: %s" % ", ".join(
-        "%s (deg %d)" % (p, draw(st.integers(1, 3))) for p in params))
+    lines.append("params: %s" % ", ".join(params))
     lines.append("vertices: %s" % ", ".join(vertices))
     lines.append("arrows: %s" % ", ".join(
         "%s: %s -> %s (deg %d)" % (n, s, t, d) for n, (s, t, d) in arrows.items()))
